@@ -36,8 +36,8 @@ from repro.kernels.scenarios import (EFFECTS_GEOMETRY, SYNTH_GEOMETRY,
 BENCH_PATH = Path(__file__).resolve().parent.parent / \
     "BENCH_scenarios.json"
 
-#: Engine sweep for the per-kernel table (lane backends are covered by
-#: ``BENCH_batch.json``/``BENCH_shard.json`` on their own terms).
+#: Engine sweep for the per-kernel table (the batch backend is covered
+#: by ``BENCH_batch.json`` on its own terms).
 ENGINES = {
     "interpreter": {"fastpath": False},
     "fastpath": {},

@@ -147,7 +147,6 @@ class MetricsRegistry:
         metrics.extend(self._switch_metrics())
         metrics.extend(self._fifo_metrics())
         metrics.extend(self._batch_metrics())
-        metrics.extend(self._shard_metrics())
         metrics.extend(self._autotune_metrics())
         if self.controller is not None:
             metrics.extend(self._controller_metrics())
@@ -297,8 +296,7 @@ class MetricsRegistry:
         sum over every lane, so multi-stream serving dashboards see both
         the distribution and the total.
         """
-        engine = (getattr(self.ring, "_batch_engine", None)
-                  or getattr(self.ring, "_shard_engine", None))
+        engine = getattr(self.ring, "_batch_engine", None)
         if engine is None:
             return []
         lanes = engine.batch
@@ -337,62 +335,6 @@ class MetricsRegistry:
         metrics.append(Metric(
             "batch_lane_fifo_pops_total", "counter",
             "Words dequeued from input FIFOs of one lane.", pop_samples))
-        return metrics
-
-    def _shard_metrics(self) -> List[Metric]:
-        """Worker-pool counters of the sharded backend (empty when
-        inactive).
-
-        The per-lane families above already cover a shard engine (its
-        ``lane_underflows`` / ``lane_fifo_pops`` views are the shared
-        blocks); these add the pool view: worker count and mode, control
-        round-trips, configuration syncs and elastic reshards, plus each
-        worker's lane span.
-        """
-        engine = getattr(self.ring, "_shard_engine", None)
-        if engine is None:
-            return []
-        scalar = [
-            ("shard_workers", "gauge",
-             "Worker processes the lane axis is split across.",
-             engine.workers),
-            ("shard_workers_capped", "gauge",
-             "Workers removed from the request by the core-count "
-             "ceiling (oversubscription degrades instead of thrashing).",
-             max(0, getattr(engine, "workers_requested", engine.workers)
-                 - engine.workers)),
-            ("shard_using_processes", "gauge",
-             "1 when a real worker pool is live, 0 in the in-process "
-             "fallback.", int(engine.using_processes)),
-            ("shard_chunks_total", "counter",
-             "Chunk run round-trips broadcast to the pool.",
-             engine.chunks),
-            ("shard_config_syncs_total", "counter",
-             "Configuration planes broadcast after invalidations.",
-             engine.syncs),
-            ("shard_reshards_total", "counter",
-             "Elastic worker-count migrations performed.",
-             engine.reshards),
-            ("shard_messages_total", "counter",
-             "Control messages sent to workers.", engine.messages),
-            ("shard_plan_compiles_total", "counter",
-             "Kernel sets compiled per worker (lane-invariant, so every "
-             "worker compiles the same plans).", engine.compiles),
-            ("shard_plan_invalidations_total", "counter",
-             "Pool-wide kernel invalidations by reconfiguration.",
-             engine.invalidations),
-        ]
-        metrics = [Metric(name, kind, help_, (((), float(value)),))
-                   for name, kind, help_, value in scalar]
-        spans = getattr(engine, "_spans", [])
-        if spans:
-            samples = tuple(
-                ((("worker", str(w)),), float(hi - lo))
-                for w, (lo, hi) in enumerate(spans)
-            )
-            metrics.append(Metric(
-                "shard_worker_lanes", "gauge",
-                "Lanes owned by each shard worker.", samples))
         return metrics
 
     def _autotune_metrics(self) -> List[Metric]:

@@ -8,11 +8,19 @@ to a 16-bit result with no state, which keeps it trivially property-testable.
 
 All values are raw 16-bit bus words (see :mod:`repro.word`).  Signed
 interpretation is two's complement.
+
+The scalar handlers are the reference semantics.  The engines that
+generate code (macro-step, native and batch) instead read
+:data:`EXPRESSIONS`, one expression template per opcode, rendered by
+:func:`render_expr` as scalar Python or as NumPy.  Adding an opcode means
+an :class:`~repro.core.isa.Opcode` entry, a handler here and a template
+here; the INT16 overflow audit checks both renderings against
+:func:`execute_op`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Tuple
 
 from repro import word
 from repro.core.isa import Opcode
@@ -193,3 +201,102 @@ def execute_op(op: Opcode, a: int, b: int = 0, acc: int = 0,
     if handler_b is not None:
         return handler_b(a, b)
     raise SimulationError(f"opcode {op!r} has no functional model")
+
+
+# ----------------------------------------------------------------------
+# Expression templates for the code-generating engines
+# ----------------------------------------------------------------------
+
+#: How a template's integer value becomes a raw word: masked to 16 bits,
+#: saturated to INT16, or already canonical.
+_WRAP, _SAT, _RAW = "wrap", "sat", "raw"
+
+#: Each opcode's result as a scalar Python expression over the raw
+#: operand words ``{a}``, ``{b}`` and ``{acc}`` (the destination register
+#: of ``MAC``/``MACS``), their signed views ``{sa}``, ``{sb}`` and
+#: ``{sacc}``, and the signed ``MADD``/``MSUB`` coefficient ``{coeff}``;
+#: paired with the step that makes the value a raw word.  Conditional
+#: expressions are flat (at most one ``if``/``else``).  ``NOP`` has no
+#: result and no entry.
+EXPRESSIONS: Dict[Opcode, Tuple[str, str]] = {
+    Opcode.MOV: ("{a}", _RAW),
+    Opcode.ADD: ("{a} + {b}", _WRAP),
+    Opcode.SUB: ("{a} - {b}", _WRAP),
+    Opcode.MUL: ("{sa} * {sb}", _WRAP),
+    Opcode.MULH: ("({sa} * {sb}) >> 16", _WRAP),
+    Opcode.MAC: ("{sa} * {sb} + {sacc}", _WRAP),
+    Opcode.MACS: ("{sa} * {sb} + {sacc}", _SAT),
+    Opcode.MADD: ("{sa} + {sb} * {coeff}", _WRAP),
+    Opcode.MSUB: ("{sa} - {sb} * {coeff}", _WRAP),
+    Opcode.AND: ("{a} & {b}", _RAW),
+    Opcode.OR: ("{a} | {b}", _RAW),
+    Opcode.XOR: ("{a} ^ {b}", _RAW),
+    Opcode.NOT: ("~{a}", _WRAP),
+    Opcode.NEG: ("-{sa}", _WRAP),
+    Opcode.ABS: ("abs({sa})", _WRAP),
+    Opcode.SHL: ("{a} << ({b} & 15)", _WRAP),
+    Opcode.SHR: ("{a} >> ({b} & 15)", _RAW),
+    Opcode.ASR: ("{sa} >> ({b} & 15)", _WRAP),
+    Opcode.ABSDIFF: ("abs({sa} - {sb})", _WRAP),
+    Opcode.MIN: ("{a} if {sa} <= {sb} else {b}", _RAW),
+    Opcode.MAX: ("{a} if {sa} >= {sb} else {b}", _RAW),
+    Opcode.ADDSAT: ("{sa} + {sb}", _SAT),
+    Opcode.SUBSAT: ("{sa} - {sb}", _SAT),
+    Opcode.CMPEQ: ("1 if {a} == {b} else 0", _RAW),
+    Opcode.CMPLT: ("1 if {sa} < {sb} else 0", _RAW),
+    Opcode.AVG2: ("({sa} + {sb}) >> 1", _WRAP),
+}
+
+#: Dialects of :func:`render_expr`.
+SCALAR = "scalar"
+NUMPY = "numpy"
+
+
+def signed_expr(expr: str) -> str:
+    """Branchless signed view of a raw 16-bit word expression (either
+    dialect)."""
+    return f"((({expr}) ^ 32768) - 32768)"
+
+
+def render_expr(op: Opcode, dialect: str, a: str, b: Optional[str] = None,
+                acc: Optional[str] = None,
+                coeff: Optional[str] = None) -> str:
+    """Source text of *op*'s result over operand expressions.
+
+    Operand expressions must be pure: a template may use one twice.  The
+    :data:`SCALAR` dialect (``abs``, conditional expressions) calls
+    ``_sat`` (:func:`repro.word.saturate_signed`) for saturating opcodes;
+    the :data:`NUMPY` dialect (``np.abs``, ``np.where``, a clip) needs
+    only ``np`` in scope and evaluates elementwise over integer arrays
+    wide enough for a signed 16x16 product.
+
+    Raises:
+        SimulationError: if *op* has no template (``NOP``).
+    """
+    try:
+        template, final = EXPRESSIONS[op]
+    except KeyError:
+        raise SimulationError(f"opcode {op!r} has no expression") from None
+    if dialect == NUMPY:
+        template = template.replace("abs(", "np.abs(")
+        if " if " in template:
+            value, rest = template.split(" if ")
+            cond, other = rest.split(" else ")
+            template = f"np.where({cond}, {value}, {other})"
+    elif dialect != SCALAR:
+        raise ValueError(f"unknown dialect {dialect!r}")
+    fields = {}
+    for name, expr in (("a", a), ("b", b), ("acc", acc)):
+        if expr is not None:
+            fields[name] = f"({expr})"
+            fields["s" + name] = signed_expr(expr)
+    if coeff is not None:
+        fields["coeff"] = f"({coeff})"
+    expr = template.format(**fields)
+    if final == _WRAP:
+        return f"({expr}) & 65535"
+    if final == _SAT:
+        if dialect == SCALAR:
+            return f"_sat({expr})"
+        return f"(np.minimum(np.maximum({expr}, -32768), 32767) & 65535)"
+    return f"({expr})"

@@ -50,11 +50,13 @@ messages themselves are identical.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from repro import word
+from repro.core.alu import NUMPY, render_expr
 from repro.core.dnode import Dnode, DnodeMode, _MULTIPLY_OPS, _OP_COST
 from repro.core.isa import (
     ACCUMULATING_OPS,
@@ -62,6 +64,7 @@ from repro.core.isa import (
     Flag,
     MicroWord,
     Opcode,
+    is_binary_op,
 )
 from repro.core.plancache import PlanCache
 from repro.core.regfile import NUM_REGISTERS
@@ -76,69 +79,33 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 LANE_DTYPE = np.int32
 
 _MASK = word.MASK
-_SIGN = word.SIGN_BIT
-_MIN_S = word.MIN_SIGNED
-_MAX_S = word.MAX_SIGNED
-_SHIFT_MASK = word.WIDTH - 1
 
 
 # ----------------------------------------------------------------------
-# Vectorized 16-bit word semantics (shared with the audit test)
+# Vectorized opcode semantics, rendered from the ALU expression table
 # ----------------------------------------------------------------------
 
 
-def batch_to_signed(v):
-    """Reinterpret raw 16-bit words as signed (scalar or ndarray)."""
-    return (v ^ _SIGN) - _SIGN
+@functools.lru_cache(maxsize=len(Opcode))
+def _compute_maker(op: Opcode):
+    """Compile *op*'s NumPy rendering (once per opcode) into a maker of
+    eval-phase closures ``compute(bus, host_in)``.
 
-
-def batch_wrap(v):
-    """Wrap any integer value (scalar or ndarray) to a raw 16-bit word."""
-    return v & _MASK
-
-
-def batch_saturate_signed(v):
-    """Clamp to INT16 then return the raw two's-complement word."""
-    return np.clip(v, _MIN_S, _MAX_S) & _MASK
-
-
-_BATCH_UNARY = {
-    Opcode.MOV: lambda a: a,
-    Opcode.NOT: lambda a: (~a) & _MASK,
-    Opcode.NEG: lambda a: (-batch_to_signed(a)) & _MASK,
-    Opcode.ABS: lambda a: abs(batch_to_signed(a)) & _MASK,
-}
-
-_BATCH_BINARY = {
-    Opcode.ADD: lambda a, b: (a + b) & _MASK,
-    Opcode.SUB: lambda a, b: (a - b) & _MASK,
-    Opcode.MUL: lambda a, b:
-        (batch_to_signed(a) * batch_to_signed(b)) & _MASK,
-    Opcode.MULH: lambda a, b:
-        ((batch_to_signed(a) * batch_to_signed(b)) >> word.WIDTH) & _MASK,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.SHL: lambda a, b: (a << (b & _SHIFT_MASK)) & _MASK,
-    Opcode.SHR: lambda a, b: (a & _MASK) >> (b & _SHIFT_MASK),
-    Opcode.ASR: lambda a, b:
-        (batch_to_signed(a) >> (b & _SHIFT_MASK)) & _MASK,
-    Opcode.ABSDIFF: lambda a, b:
-        abs(batch_to_signed(a) - batch_to_signed(b)) & _MASK,
-    Opcode.MIN: lambda a, b:
-        np.where(batch_to_signed(a) <= batch_to_signed(b), a, b),
-    Opcode.MAX: lambda a, b:
-        np.where(batch_to_signed(a) >= batch_to_signed(b), a, b),
-    Opcode.ADDSAT: lambda a, b:
-        batch_saturate_signed(batch_to_signed(a) + batch_to_signed(b)),
-    Opcode.SUBSAT: lambda a, b:
-        batch_saturate_signed(batch_to_signed(a) - batch_to_signed(b)),
-    Opcode.CMPEQ: lambda a, b: np.where(a == b, 1, 0),
-    Opcode.CMPLT: lambda a, b:
-        np.where(batch_to_signed(a) < batch_to_signed(b), 1, 0),
-    Opcode.AVG2: lambda a, b:
-        ((batch_to_signed(a) + batch_to_signed(b)) >> 1) & _MASK,
-}
+    The maker takes the operand getters, the accumulator view and the
+    signed coefficient.  Each getter is called once per cycle (a FIFO
+    peek counts its underflows as it reads).
+    """
+    fetch_b = "        b = _gb(bus, host_in)\n" if is_binary_op(op) else ""
+    expr = render_expr(op, NUMPY, "a", "b", "acc", "k")
+    source = ("def make(_ga, _gb, acc, k):\n"
+              "    def compute(bus, host_in):\n"
+              "        a = _ga(bus, host_in)\n"
+              f"{fetch_b}"
+              f"        return {expr}\n"
+              "    return compute\n")
+    env = {"np": np}
+    exec(compile(source, f"<batch {op.name}>", "exec"), env)
+    return env["make"]
 
 
 def batch_execute_op(op: Opcode, a, b=0, acc=0, imm=0):
@@ -146,30 +113,16 @@ def batch_execute_op(op: Opcode, a, b=0, acc=0, imm=0):
 
     Operands are raw 16-bit words, scalar or NumPy integer arrays
     (broadcasting applies); the result is raw words of the broadcast
-    shape.  Bit-identity with the scalar ALU over the whole INT16 range
+    shape.  It runs the same compiled code as the batch engine's
+    kernels; bit-identity with the scalar ALU over the whole INT16 range
     is asserted by the signed-overflow audit test.
     """
     if op is Opcode.NOP:
         return a & 0
-    if op is Opcode.MAC:
-        return (batch_to_signed(a) * batch_to_signed(b)
-                + batch_to_signed(acc)) & _MASK
-    if op is Opcode.MACS:
-        return batch_saturate_signed(
-            batch_to_signed(a) * batch_to_signed(b) + batch_to_signed(acc))
-    if op is Opcode.MADD:
-        return (batch_to_signed(a)
-                + batch_to_signed(b) * batch_to_signed(imm)) & _MASK
-    if op is Opcode.MSUB:
-        return (batch_to_signed(a)
-                - batch_to_signed(b) * batch_to_signed(imm)) & _MASK
-    handler = _BATCH_UNARY.get(op)
-    if handler is not None:
-        return handler(a)
-    handler_b = _BATCH_BINARY.get(op)
-    if handler_b is not None:
-        return handler_b(a, b)
-    raise SimulationError(f"opcode {op!r} has no batch kernel")
+    compute = _compute_maker(op)(lambda bus, host_in: a,
+                                 lambda bus, host_in: b, acc,
+                                 (imm ^ 0x8000) - 0x8000)
+    return compute(0, None)
 
 
 # ----------------------------------------------------------------------
@@ -289,19 +242,7 @@ class BatchRing:
     FIFO contents are loaded with :meth:`push_fifo`.
     """
 
-    #: Dense lane-array families an external caller (the shard backend)
-    #: may supply as pre-allocated buffers, with their expected shapes as
-    #: functions of (layers, width, depth, batch).
-    ARRAY_SHAPES = {
-        "outs": lambda l, w, d, b: (l, w, b),
-        "regs": lambda l, w, d, b: (l, w, NUM_REGISTERS, b),
-        "pipes": lambda l, w, d, b: (l, w, d, b),
-        "underflows": lambda l, w, d, b: (b,),
-        "fifo_pops": lambda l, w, d, b: (l, w, b),
-    }
-
-    def __init__(self, ring: "Ring", batch: int,
-                 arrays: Optional[Dict[str, np.ndarray]] = None):
+    def __init__(self, ring: "Ring", batch: int):
         if batch < 1:
             raise ConfigurationError(
                 f"batch size must be >= 1, got {batch}"
@@ -310,33 +251,16 @@ class BatchRing:
         self.batch = batch
         g = ring.geometry
         layers, width, depth = g.layers, g.width, g.pipeline_depth
-        if arrays is not None:
-            # Shard-aware lane views: the dense state lives in buffers
-            # owned by the caller (shared-memory slices of a wider batch,
-            # in the sharded backend), and this engine advances them in
-            # place.  The growable FIFO words stay engine-private — they
-            # cross process boundaries only at explicit sync points.
-            self._check_arrays(arrays, layers, width, depth, batch)
-            self.outs = arrays["outs"]
-            self.regs = arrays["regs"]
-            self.pipes = arrays["pipes"]
-            self.lane_underflows = arrays["underflows"]
-            pops = arrays["fifo_pops"]
-            self.lane_fifo_pops: Dict[Tuple[int, int], np.ndarray] = {
-                (l, p): pops[l, p]
-                for l in range(layers) for p in range(width)
-            }
-        else:
-            self.outs = np.zeros((layers, width, batch), dtype=LANE_DTYPE)
-            self.regs = np.zeros((layers, width, NUM_REGISTERS, batch),
-                                 dtype=LANE_DTYPE)
-            self.pipes = np.zeros((layers, width, depth, batch),
-                                  dtype=LANE_DTYPE)
-            self.lane_underflows = np.zeros(batch, dtype=np.int64)
-            self.lane_fifo_pops = {
-                (l, p): np.zeros(batch, dtype=np.int64)
-                for l in range(layers) for p in range(width)
-            }
+        self.outs = np.zeros((layers, width, batch), dtype=LANE_DTYPE)
+        self.regs = np.zeros((layers, width, NUM_REGISTERS, batch),
+                             dtype=LANE_DTYPE)
+        self.pipes = np.zeros((layers, width, depth, batch),
+                              dtype=LANE_DTYPE)
+        self.lane_underflows = np.zeros(batch, dtype=np.int64)
+        self.lane_fifo_pops: Dict[Tuple[int, int], np.ndarray] = {
+            (l, p): np.zeros(batch, dtype=np.int64)
+            for l in range(layers) for p in range(width)
+        }
         self._pending = np.zeros((layers, width, batch), dtype=LANE_DTYPE)
         self._head = 0
         self._counters: Dict[Tuple[int, int], List[int]] = {
@@ -357,30 +281,6 @@ class BatchRing:
         self._detached = False
         ring.add_invalidation_listener(self._on_config_change)
         self.resync()
-
-    @classmethod
-    def _check_arrays(cls, arrays: Dict[str, np.ndarray], layers: int,
-                      width: int, depth: int, batch: int) -> None:
-        """Validate externally supplied lane buffers (shapes and dtypes)."""
-        for name, shape_of in cls.ARRAY_SHAPES.items():
-            arr = arrays.get(name)
-            if arr is None:
-                raise ConfigurationError(
-                    f"external lane arrays are missing {name!r}"
-                )
-            expected = shape_of(layers, width, depth, batch)
-            if arr.shape != expected:
-                raise ConfigurationError(
-                    f"external lane array {name!r} has shape {arr.shape}; "
-                    f"expected {expected}"
-                )
-            wanted = np.int64 if name in ("underflows", "fifo_pops") \
-                else LANE_DTYPE
-            if arr.dtype != wanted:
-                raise ConfigurationError(
-                    f"external lane array {name!r} has dtype {arr.dtype}; "
-                    f"expected {np.dtype(wanted)}"
-                )
 
     # -- lifecycle -----------------------------------------------------
 
@@ -868,38 +768,10 @@ class BatchRing:
 
     def _compile_compute(self, layer: int, pos: int, mw: MicroWord,
                          get_a, get_b):
-        op = mw.op
-        if op in ACCUMULATING_OPS:
-            acc = self.regs[layer, pos, int(mw.dst)]
-            if op is Opcode.MAC:
-                return lambda bus, host_in, _ga=get_a, _gb=get_b, _acc=acc: \
-                    (batch_to_signed(_ga(bus, host_in))
-                     * batch_to_signed(_gb(bus, host_in))
-                     + batch_to_signed(_acc)) & _MASK
-            return lambda bus, host_in, _ga=get_a, _gb=get_b, _acc=acc: \
-                batch_saturate_signed(
-                    batch_to_signed(_ga(bus, host_in))
-                    * batch_to_signed(_gb(bus, host_in))
-                    + batch_to_signed(_acc))
-        if op is Opcode.MADD or op is Opcode.MSUB:
-            coeff = word.to_signed(mw.imm)
-            if op is Opcode.MADD:
-                return lambda bus, host_in, _ga=get_a, _gb=get_b, _c=coeff: \
-                    (batch_to_signed(_ga(bus, host_in))
-                     + batch_to_signed(_gb(bus, host_in)) * _c) & _MASK
-            return lambda bus, host_in, _ga=get_a, _gb=get_b, _c=coeff: \
-                (batch_to_signed(_ga(bus, host_in))
-                 - batch_to_signed(_gb(bus, host_in)) * _c) & _MASK
-        if mw.is_binary:
-            fn = _BATCH_BINARY.get(op)
-            if fn is None:
-                raise SimulationError(f"opcode {op!r} has no batch kernel")
-            return lambda bus, host_in, _f=fn, _ga=get_a, _gb=get_b: \
-                _f(_ga(bus, host_in), _gb(bus, host_in))
-        fn = _BATCH_UNARY.get(op)
-        if fn is None:
-            raise SimulationError(f"opcode {op!r} has no batch kernel")
-        return lambda bus, host_in, _f=fn, _ga=get_a: _f(_ga(bus, host_in))
+        acc = (self.regs[layer, pos, int(mw.dst)]
+               if mw.op in ACCUMULATING_OPS else None)
+        return _compute_maker(mw.op)(get_a, get_b, acc,
+                                     word.to_signed(mw.imm))
 
     def _compile_body(self, layer: int, pos: int, sw: Switch,
                       mw: MicroWord, port_getters):
@@ -1049,7 +921,4 @@ __all__ = [
     "BatchRing",
     "LANE_DTYPE",
     "batch_execute_op",
-    "batch_to_signed",
-    "batch_wrap",
-    "batch_saturate_signed",
 ]

@@ -13,9 +13,10 @@ fabric and compiles it with :func:`exec`:
 * operand fetches become inline expressions over the persistent state
   containers (``regs._values[i]``, ``dn._out``, pipeline ring-buffer
   indexing with the head tracked in a local variable);
-* the ALU is inlined per opcode (sign reinterpretation is the branchless
-  ``(v ^ 0x8000) - 0x8000``, masking is ``& 0xFFFF``), so a MAC is one
-  Python expression instead of five closure calls;
+* the ALU is inlined per opcode from the scalar rendering of
+  :data:`repro.core.alu.EXPRESSIONS` (sign reinterpretation is the
+  branchless ``(v ^ 0x8000) - 0x8000``, masking is ``& 0xFFFF``), so a
+  MAC is one Python expression instead of five closure calls;
 * results live in local temporaries between the evaluate and commit
   phases — the master-slave staging registers are bypassed entirely;
 * per-Dnode statistics are hoisted out of the loop and applied in closed
@@ -50,6 +51,7 @@ import math
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro import word
+from repro.core.alu import SCALAR, render_expr
 from repro.core.dnode import DnodeMode, _MULTIPLY_OPS, _OP_COST
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.switch import PortKind
@@ -62,75 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 MAX_PERIOD = 64
 #: Cap on period * dnodes, bounding generated-source size.
 MAX_UNROLL_CELLS = 4096
-
-
-def _signed(expr: str) -> str:
-    """Branchless signed reinterpretation of a canonical 16-bit value."""
-    return f"((({expr}) ^ 32768) - 32768)"
-
-
-def _compute_expr(mw: MicroWord, a: str, b: Optional[str],
-                  acc: Optional[str]) -> str:
-    """Inline Python expression for one microword's combinational result.
-
-    Operand expressions are pure (temporaries / attribute / index reads),
-    so duplicating them inside a template is safe.
-    """
-    op = mw.op
-    S = _signed
-    if op is Opcode.MOV:
-        return a
-    if op is Opcode.ADD:
-        return f"(({a}) + ({b})) & 65535"
-    if op is Opcode.SUB:
-        return f"(({a}) - ({b})) & 65535"
-    if op is Opcode.MUL:
-        return f"({S(a)} * {S(b)}) & 65535"
-    if op is Opcode.MULH:
-        return f"(({S(a)} * {S(b)}) >> 16) & 65535"
-    if op is Opcode.MAC:
-        return f"({S(a)} * {S(b)} + {S(acc)}) & 65535"
-    if op is Opcode.MACS:
-        return f"_sat({S(a)} * {S(b)} + {S(acc)})"
-    if op is Opcode.MADD or op is Opcode.MSUB:
-        coeff = word.to_signed(mw.imm)
-        sign = "+" if op is Opcode.MADD else "-"
-        return f"({S(a)} {sign} {S(b)} * ({coeff})) & 65535"
-    if op is Opcode.AND:
-        return f"(({a}) & ({b}))"
-    if op is Opcode.OR:
-        return f"(({a}) | ({b}))"
-    if op is Opcode.XOR:
-        return f"(({a}) ^ ({b}))"
-    if op is Opcode.NOT:
-        return f"(~({a})) & 65535"
-    if op is Opcode.NEG:
-        return f"(-{S(a)}) & 65535"
-    if op is Opcode.ABS:
-        return f"abs({S(a)}) & 65535"
-    if op is Opcode.SHL:
-        return f"(({a}) << (({b}) & 15)) & 65535"
-    if op is Opcode.SHR:
-        return f"({a}) >> (({b}) & 15)"
-    if op is Opcode.ASR:
-        return f"({S(a)} >> (({b}) & 15)) & 65535"
-    if op is Opcode.ABSDIFF:
-        return f"abs({S(a)} - {S(b)}) & 65535"
-    if op is Opcode.MIN:
-        return f"(({a}) if {S(a)} <= {S(b)} else ({b}))"
-    if op is Opcode.MAX:
-        return f"(({a}) if {S(a)} >= {S(b)} else ({b}))"
-    if op is Opcode.ADDSAT:
-        return f"_sat({S(a)} + {S(b)})"
-    if op is Opcode.SUBSAT:
-        return f"_sat({S(a)} - {S(b)})"
-    if op is Opcode.CMPEQ:
-        return f"(1 if ({a}) == ({b}) else 0)"
-    if op is Opcode.CMPLT:
-        return f"(1 if {S(a)} < {S(b)} else 0)"
-    if op is Opcode.AVG2:
-        return f"(({S(a)} + {S(b)}) >> 1) & 65535"
-    raise SimulationError(f"opcode {op!r} has no macro template")
 
 
 class MacroPlan:
@@ -361,8 +294,9 @@ def compile_macro(ring: "Ring") -> Optional[MacroPlan]:
                     acc = (f"_rv_{l}_{p}[{int(mw.dst)}]"
                            if mw.op in (Opcode.MAC, Opcode.MACS) else None)
                     temp = f"_t_{l}_{p}"
-                    out.emit(indent,
-                             f"{temp} = {_compute_expr(mw, a, b, acc)}")
+                    expr = render_expr(mw.op, SCALAR, a, b, acc,
+                                       str(word.to_signed(mw.imm)))
+                    out.emit(indent, f"{temp} = {expr}")
                     if mw.dst.is_register:
                         commits.append(
                             ("store",

@@ -119,8 +119,6 @@ def capture(ring: Ring) -> RingSnapshot:
             snapshot.fifos[key] = list(queue)
     if ring._batch_engine is not None:
         snapshot.lanes = ring._batch_engine.capture_lanes()
-    elif ring._shard_engine is not None:
-        snapshot.lanes = ring._shard_engine.capture_lanes()
     return snapshot
 
 
@@ -162,14 +160,11 @@ def restore(ring: Ring, snapshot: RingSnapshot) -> None:
     ring.last_bus = snapshot.last_bus
     ring.cycles = snapshot.cycles
     if (snapshot.lanes is not None
-            and ring.backend in Ring.LANE_BACKENDS
+            and ring.backend == "batch"
             and ring.batch_size == snapshot.lanes["batch"]):
         # Rebuild the engine over the restored scalar state, then load
         # the captured lanes on top (clears the engine kernel caches).
-        # ring.reset() above tore the old engine/pool down, so for the
-        # shard backend this respawns workers seeded with the restored
-        # scalar state and overlays every captured lane.
-        ring._lane_engine().restore_lanes(snapshot.lanes)
+        ring.batch.restore_lanes(snapshot.lanes)
     # Contract: a restore is a configuration event.  apply_plane() above
     # already fired the invalidation hooks, but the runtime-state writes
     # happened afterwards — invalidate once more so the active plan and

@@ -13,7 +13,9 @@ Replies always carry ``"ok"``.  A successful submit returns the result
 wire form (tap streams, state digest hex, warm/plan telemetry); a
 backpressure rejection returns ``{"ok": false, "error": "rejected",
 "retry_after": seconds}`` so clients can implement honest backoff — the
-server never buffers beyond the farm's bounded queues.
+server never buffers beyond the farm's bounded queues.  A request line
+longer than :data:`LINE_LIMIT` gets an error reply, and the server then
+closes the connection.
 
 :func:`request` is the matching one-shot client helper (used by the
 server tests and the load benchmark's TCP mode).
@@ -27,6 +29,12 @@ from typing import Optional
 
 from repro.farm.farm import FarmRejected, RingFarm
 from repro.farm.job import job_from_wire, result_to_wire
+
+#: Longest request or reply line, in bytes, on both ends of the
+#: connection.  A bare 64x8 fabric's submit line is ~97 KB (asyncio's
+#: 64 KiB default cannot carry it); 1 MiB leaves room for its streams
+#: and for denser planes.
+LINE_LIMIT = 1 << 20
 
 
 class FarmServer:
@@ -44,7 +52,7 @@ class FarmServer:
         one; :attr:`port` is updated with the bound port)."""
         await self.farm.start()
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port)
+            self._handle, self.host, self.port, limit=LINE_LIMIT)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
@@ -69,7 +77,21 @@ class FarmServer:
                       writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial
+                except asyncio.LimitOverrunError:
+                    # Read the rest of the line before closing: unread
+                    # input would make the close a reset that can
+                    # discard the reply.
+                    await _discard_line(reader)
+                    reply = {"ok": False,
+                             "error": f"request line exceeds {LINE_LIMIT} "
+                                      f"bytes"}
+                    writer.write(json.dumps(reply).encode() + b"\n")
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 reply = await self._dispatch(line)
@@ -118,10 +140,24 @@ class FarmServer:
                     "error": f"{type(exc).__name__}: {exc}"}
 
 
+async def _discard_line(reader: asyncio.StreamReader) -> None:
+    """Consume input through the next newline (or EOF), holding at most
+    :data:`LINE_LIMIT` bytes at a time."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return
+
+
 async def request(host: str, port: int, payload: dict,
                   timeout: float = 30.0) -> dict:
     """One-shot client: send *payload*, await the JSON reply."""
-    reader, writer = await asyncio.open_connection(host, port)
+    reader, writer = await asyncio.open_connection(host, port,
+                                                   limit=LINE_LIMIT)
     try:
         writer.write(json.dumps(payload).encode() + b"\n")
         await writer.drain()
@@ -135,4 +171,4 @@ async def request(host: str, port: int, payload: dict,
             pass
 
 
-__all__ = ["FarmServer", "request"]
+__all__ = ["FarmServer", "LINE_LIMIT", "request"]

@@ -14,8 +14,8 @@ the plane write is skipped, which also keeps the adopted plan installed
 instead of invalidating and re-looking it up.
 
 A :class:`FarmWorker` is the parent-side handle: it spawns the executor
-into a worker process over a Pipe (same fork-preferred context, ready
-handshake and graceful in-process fallback as the shardpath pool), guards
+into a worker process over a Pipe (fork-preferred context, ready
+handshake and graceful in-process fallback), guards
 the connection with a lock so concurrent dispatchers serialize, and
 respawns a died worker on the next job (cold caches, but no lost pool
 slot).  Live migration rides the PR 5 checkpoint machinery: ``execute``
@@ -37,7 +37,7 @@ from repro.farm.job import FarmJob, FarmResult
 from repro.host.system import RingSystem
 
 #: Seconds a worker process gets to come up before the in-process
-#: fallback takes over (mirrors the shardpath spawn timeout).
+#: fallback takes over.
 _SPAWN_TIMEOUT = 60.0
 
 

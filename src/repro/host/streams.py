@@ -383,8 +383,7 @@ class DataController:
         underrun per cycle.  A bulk chunk never calls ``advance`` — this
         wrapper watches ``ring.cycles`` instead and clears the latches
         whenever the fabric moves to a new cycle, reproducing the
-        per-cycle underrun accounting bit for bit (the same contract
-        :meth:`absorb_shard_run` keeps for sharded chunks).
+        per-cycle underrun accounting bit for bit.
         """
         last = [ring.cycles]
 
@@ -421,72 +420,15 @@ class DataController:
         """Sample every tap from the post-edge fabric state.
 
         Batch taps read the per-lane OUT values straight from the ring's
-        lane engine (batch or shard); scalar taps read the scalar OUT
-        register.
+        batch engine; scalar taps read the scalar OUT register.
         """
         if self.batch > 1:
-            engine = ring._lane_engine()
+            engine = ring.batch
             for tap in self.taps:
                 tap.observe(engine.lane_outs(tap.layer, tap.position))
             return
         for tap in self.taps:
             tap.observe(ring.dnode(tap.layer, tap.position).out)
-
-    def shard_stimulus(self, base_cycle: int):
-        """Freeze the queued stream words into a picklable chunk stimulus.
-
-        The sharded backend runs whole chunks inside worker processes,
-        where live ``host_in`` callbacks cannot reach; a
-        :class:`~repro.core.shardpath.StreamStimulus` carries the queued
-        words instead (sliced per shard by the engine), anchored at the
-        fabric cycle the chunk starts on.  The live queues are left
-        untouched — call :meth:`absorb_shard_run` afterwards to account
-        for what the chunk consumed.
-        """
-        from repro.core.shardpath import StreamStimulus
-        channels = {}
-        idle = {}
-        for index, ch in self._channels.items():
-            idle[index] = ch.idle_value
-            if isinstance(ch, BatchStreamChannel):
-                channels[index] = ("lanes",
-                                   [list(queue) for queue in ch._queues])
-            else:
-                channels[index] = ("all", list(ch._queue))
-        return StreamStimulus(base_cycle, channels, idle)
-
-    def absorb_shard_run(self, executed: int, read_channels) -> None:
-        """Account for *executed* chunk cycles run off a frozen stimulus.
-
-        Every channel advances once per cycle (words past the queue end
-        are simply dry), reproducing exactly what *executed* calls to
-        :meth:`advance` would have delivered; channels in
-        *read_channels* — the ones the fabric configuration actually
-        routes — additionally count one underrun per dry cycle, matching
-        the scalar per-cycle accounting bit for bit.
-        """
-        if executed < 0:
-            raise HostError(f"executed must be >= 0, got {executed}")
-        read = set(read_channels)
-        for index, ch in self._channels.items():
-            routed = index in read
-            if isinstance(ch, BatchStreamChannel):
-                for lane, queue in enumerate(ch._queues):
-                    consumed = min(len(queue), executed)
-                    for _ in range(consumed):
-                        queue.popleft()
-                    ch.delivered[lane] += consumed
-                    if routed:
-                        ch.underruns[lane] += executed - consumed
-                    ch._dry_seen[lane] = False
-            else:
-                consumed = min(len(ch._queue), executed)
-                for _ in range(consumed):
-                    ch._queue.popleft()
-                ch.delivered += consumed
-                if routed:
-                    ch.underruns += executed - consumed
-                ch._dry_seen = False
 
     def capture_state(self) -> dict:
         """Checkpoint the host side: queued words, counters, tap samples.

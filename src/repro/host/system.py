@@ -42,11 +42,9 @@ class RingSystem:
         self.ring = ring
         self.controller = controller
         self.planes: List[ConfigPlane] = list(planes or [])
-        # A lane-backend ring (batch or shard) gets a batch data
-        # controller: per-lane stream channels and output taps on the
-        # same direct ports.
-        batch = (ring.batch_size
-                 if ring.backend in Ring.LANE_BACKENDS else 1)
+        # A batch-backend ring gets a batch data controller: per-lane
+        # stream channels and output taps on the same direct ports.
+        batch = ring.batch_size if ring.backend == "batch" else 1
         self.data = DataController(batch=batch)
         self.cycles = 0
         if controller is not None:
@@ -89,18 +87,6 @@ class RingSystem:
         """
         if cycles < 0:
             raise SimulationError(f"cycle count must be >= 0, got {cycles}")
-        if (self.controller is None and not self.data.taps
-                and self.ring.backend == "shard"):
-            # Per-shard stream slicing: freeze the queued words into a
-            # picklable stimulus so each worker resolves its own lane
-            # slice for the whole chunk, then settle the host-side
-            # delivered/underrun accounting for what the chunk consumed.
-            stimulus = self.data.shard_stimulus(self.ring.cycles)
-            self.ring.run(cycles, host_in=stimulus)
-            self.data.absorb_shard_run(
-                cycles, self.ring.shard.host_channels())
-            self.cycles += cycles
-            return
         for done in range(cycles):
             if self.controller is None and self.data.idle:
                 remaining = cycles - done

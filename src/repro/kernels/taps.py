@@ -2,9 +2,9 @@
 
 PR 8's conformance matrix surfaced a whole class of golden-reference
 drift: kernel helpers that read ``tap.samples`` directly return
-*lists of lanes* (not samples) the moment the ring runs a lane backend
-(``batch``/``shard``), silently breaking on any engine but the scalar
-ones.  :func:`tap_lane0` is the one idiom every recipe uses instead — a
+*lists of lanes* (not samples) the moment the ring runs the ``batch``
+backend, silently breaking on any engine but the scalar ones.
+:func:`tap_lane0` is the one idiom every recipe uses instead — a
 scalar tap's samples, or lane 0 of a batch tap (a scalar host stream
 broadcasts, so every lane computes the golden answer and lane 0 is the
 canonical one).

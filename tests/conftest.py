@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.ring import Ring, RingGeometry
 
-# The shard suites pin 2-worker pools so every run exercises real
-# process boundaries regardless of the runner's core count; the
-# production core-count ceiling itself is pinned explicitly (with
-# REPRO_SHARD_MAX_WORKERS=1) in tests/core/test_shardpath.py.
-os.environ.setdefault("REPRO_SHARD_MAX_WORKERS", "8")
+# Every property suite replays one pinned example sequence and never
+# reads or writes the example database, so a run's outcome does not
+# depend on what earlier runs left in ``.hypothesis/``.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -10,13 +10,12 @@ batch engine, and compare the complete architectural state per lane:
 Dnode outputs and register files, switch feedback pipelines, FIFO
 contents and pop/underflow accounting, and the activity statistics.
 
-The suite is derandomized (pinned example sequence, no deadline) so CI
-runs are reproducible; the classes together exercise 200+ examples.
+The suite runs under the derandomized, database-less test profile
+(``tests/conftest.py``), so CI runs are reproducible; the classes
+together exercise 200+ examples.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 import pytest
@@ -30,8 +29,6 @@ from repro.core.isa import ACCUMULATING_OPS, Opcode
 from repro.core.ring import Ring, RingGeometry
 
 from tests.core.test_fuzz import apply_spec, build_ring, ring_specs
-
-_SETTINGS = dict(deadline=None, derandomize=True)
 
 
 def _host_value(seed: int, channel: int, cycle: int, lane: int) -> int:
@@ -110,7 +107,7 @@ def _batch_host_in(ring: Ring, seed: int, batch: int):
 
 def _extract_lane(batch_ring: Ring, lane: int) -> dict:
     target = Ring(batch_ring.geometry)
-    batch_ring._lane_engine().store_lane(lane, target)
+    batch_ring.batch.store_lane(lane, target)
     return _state(target)
 
 
@@ -123,7 +120,7 @@ class TestDifferentialBackends:
            cycles=st.integers(min_value=1, max_value=20),
            seed=st.integers(min_value=0, max_value=0xFFFF),
            bus=st.integers(min_value=0, max_value=0xFFFF))
-    @settings(max_examples=120, **_SETTINGS)
+    @settings(max_examples=120)
     def test_full_state_identity(self, spec, batch, cycles, seed, bus):
         bring = _batch_ring(spec, seed, batch)
         bring.run(cycles, bus=bus,
@@ -145,7 +142,7 @@ class TestDifferentialBackends:
            chunks=st.lists(st.integers(min_value=1, max_value=8),
                            min_size=2, max_size=4),
            seed=st.integers(min_value=0, max_value=0xFFFF))
-    @settings(max_examples=60, **_SETTINGS)
+    @settings(max_examples=60)
     def test_chunked_runs_match_one_shot(self, spec, batch, chunks, seed):
         """run()/step() interleaving never perturbs lane state.
 
@@ -202,7 +199,7 @@ class TestDifferentialCachedAndMacro:
                            min_size=1, max_size=4),
            seed=st.integers(min_value=0, max_value=0xFFFF),
            bus=st.integers(min_value=0, max_value=0xFFFF))
-    @settings(max_examples=50, **_SETTINGS)
+    @settings(max_examples=50)
     def test_macro_stepped_full_state_identity(self, spec, k, chunks,
                                                seed, bus):
         interp = build_ring(spec, fastpath=False)
@@ -226,7 +223,7 @@ class TestDifferentialCachedAndMacro:
            cycles=st.integers(min_value=1, max_value=12),
            rounds=st.integers(min_value=2, max_value=4),
            seed=st.integers(min_value=0, max_value=0xFFFF))
-    @settings(max_examples=40, **_SETTINGS)
+    @settings(max_examples=40)
     def test_reconfiguration_churn_cached_vs_fresh(self, spec_a, spec_b,
                                                    cycles, rounds, seed):
         """A/B/A context churn: cache-hit plans == fresh compiles ==
@@ -260,7 +257,7 @@ class TestDifferentialCachedAndMacro:
            batch=st.integers(min_value=2, max_value=3),
            cycles=st.integers(min_value=1, max_value=10),
            seed=st.integers(min_value=0, max_value=0xFFFF))
-    @settings(max_examples=25, **_SETTINGS)
+    @settings(max_examples=25)
     def test_batch_kernel_cache_churn_per_lane(self, spec_a, spec_b,
                                                batch, cycles, seed):
         """The batch engine's kernel cache under the same A/B/A churn:
@@ -286,118 +283,20 @@ class TestDifferentialCachedAndMacro:
             )
 
 
-def _shard_ring(spec: dict, seed: int, batch: int, workers: int) -> Ring:
-    ring = build_ring(spec, backend="shard", batch_size=batch,
-                      shard_workers=workers)
-    engine = ring.shard
-    for layer, pos, _mw, _local, _routes, loads in spec["cells"]:
-        for channel in loads:
-            for lane in range(batch):
-                engine.push_fifo(
-                    layer, pos, channel,
-                    _lane_fifo_extra(seed, layer, pos, channel, lane),
-                    lane=lane)
-    return ring
-
-
-def _shard_chunk_words(channel: int, cycle: int, seed: int = 0,
-                       batch: int = 1):
-    """Module-level (hence picklable) full-batch chunk stimulus: the
-    exact per-lane words ``_batch_host_in`` presents live."""
-    return [_host_value(seed, channel, cycle, lane)
-            for lane in range(batch)]
-
-
-class TestDifferentialSharded:
-    """The sharded engine joins the bit-identity net: every lane, across
-    worker counts, both stimulus modes, through mid-run reconfiguration
-    and checkpoint rollback."""
-
-    @given(spec=ring_specs(min_layers=2, max_layers=4, min_width=1,
-                           max_width=2, max_local=4),
-           batch=st.integers(min_value=2, max_value=4),
-           workers=st.sampled_from([1, 2, 4]),
-           cycles=st.integers(min_value=1, max_value=12),
-           seed=st.integers(min_value=0, max_value=0xFFFF),
-           bus=st.integers(min_value=0, max_value=0xFFFF))
-    @settings(max_examples=15, **_SETTINGS)
-    def test_sharded_full_state_identity(self, spec, batch, workers,
-                                         cycles, seed, bus):
-        bring = _batch_ring(spec, seed, batch)
-        bring.run(cycles, bus=bus,
-                  host_in=_batch_host_in(bring, seed, batch))
-        sring = _shard_ring(spec, seed, batch, workers)
-        try:
-            sring.run(cycles, bus=bus,
-                      host_in=_batch_host_in(sring, seed, batch))
-            for lane in range(batch):
-                assert (_extract_lane(sring, lane)
-                        == _extract_lane(bring, lane)), (
-                    f"shard lane {lane} diverged at {workers} workers"
-                )
-        finally:
-            sring.shard.close()
-
-    @given(spec_a=ring_specs(min_layers=3, max_layers=3, min_width=2,
-                             max_width=2, max_local=4),
-           spec_b=ring_specs(min_layers=3, max_layers=3, min_width=2,
-                             max_width=2, max_local=4, fifo_loads=False),
-           batch=st.integers(min_value=2, max_value=4),
-           cycles=st.integers(min_value=1, max_value=10),
-           seed=st.integers(min_value=0, max_value=0xFFFF))
-    @settings(max_examples=10, **_SETTINGS)
-    def test_sharded_chunk_mode_reconfig_and_rollback(self, spec_a,
-                                                      spec_b, batch,
-                                                      cycles, seed):
-        """Chunk-mode (picklable) stimulus under A/B/A context churn,
-        then a checkpoint rollback-replay — both against the in-process
-        batch engine per lane."""
-        from repro.core.shardpath import CycleStimulus
-        from repro.core.snapshot import capture, restore, state_digest
-
-        stim = CycleStimulus(partial(_shard_chunk_words, seed=seed,
-                                     batch=batch))
-        bring = _batch_ring(spec_a, seed, batch)
-        sring = _shard_ring(spec_a, seed, batch, 2)
-        try:
-            for spec in (spec_b, spec_a):
-                for ring in (bring, sring):
-                    _apply_config_only(ring, spec)
-                bring.run(cycles,
-                          host_in=_batch_host_in(bring, seed, batch))
-                sring.run(cycles, host_in=stim)
-                for lane in range(batch):
-                    assert (_extract_lane(sring, lane)
-                            == _extract_lane(bring, lane)), (
-                        f"shard lane {lane} diverged under churn"
-                    )
-            snap = capture(sring)
-            sring.run(cycles, host_in=stim)
-            after = state_digest(sring)
-            restore(sring, snap)
-            sring.run(cycles, host_in=stim)
-            assert state_digest(sring) == after, (
-                "rollback-replay diverged on the sharded engine"
-            )
-        finally:
-            if sring._shard_engine is not None:
-                sring._shard_engine.close()
-
-
 class TestLaneInvariantLocalCounters:
     """Satellite audit pin: the local-sequencer phase is configuration-
     driven, never data-driven.  ``Dnode.commit()`` advances the sequencer
     unconditionally, so even lanes whose *data* diverges hard (distinct
     FIFO loads, per-lane underflows) keep bit-identical local counters —
-    the contract ``store_lane``'s lane-invariant scalar mirror and the
-    shard protocol's single broadcast counter both rely on."""
+    the contract ``store_lane``'s lane-invariant scalar mirror relies
+    on."""
 
     @given(spec=ring_specs(min_layers=2, max_layers=5, min_width=1,
                            max_width=2, max_local=6),
            batch=st.integers(min_value=2, max_value=4),
            cycles=st.integers(min_value=1, max_value=24),
            seed=st.integers(min_value=0, max_value=0xFFFF))
-    @settings(max_examples=40, **_SETTINGS)
+    @settings(max_examples=40)
     def test_local_counters_identical_across_lanes(self, spec, batch,
                                                    cycles, seed):
         bring = _batch_ring(spec, seed, batch)
@@ -419,13 +318,24 @@ _words = st.one_of(st.sampled_from(_BOUNDARY),
 
 
 class TestSignedOverflowAudit:
-    """Scalar ALU vs NumPy batch kernels at the INT16 boundaries."""
+    """Scalar ALU vs both renderings of the expression table (NumPy batch
+    kernels and the macro tier's scalar source) at the INT16 boundaries."""
 
     @given(op=st.sampled_from(list(Opcode)), a=_words, b=_words,
            acc=_words, imm=_words)
-    @settings(max_examples=150, **_SETTINGS)
+    @settings(max_examples=150)
     def test_batch_kernel_matches_scalar_alu(self, op, a, b, acc, imm):
         expected = alu.execute_op(op, a, b, acc=acc, imm=imm)
+        if op is not Opcode.NOP:
+            source = alu.render_expr(op, alu.SCALAR, "a", "b", "acc",
+                                     str(word.to_signed(imm)))
+            scalar = eval(f"lambda a, b, acc: {source}",
+                          {"_sat": word.saturate_signed})
+            assert scalar(a, b, acc) == expected, (
+                f"{op.name}(a={a:#06x}, b={b:#06x}, acc={acc:#06x}, "
+                f"imm={imm:#06x}): scalar ALU {expected:#06x}, "
+                f"scalar rendering {scalar(a, b, acc):#06x}"
+            )
         lanes = np.array([a, a, a], dtype=LANE_DTYPE)
         got = batch_execute_op(op, lanes,
                                np.full(3, b, dtype=LANE_DTYPE),
@@ -468,7 +378,7 @@ class TestFaultRecoveryDifferential:
     configurations)."""
 
     @given(spec=ring_specs(), seed=st.integers(0, 2**16))
-    @settings(max_examples=10, **_SETTINGS)
+    @settings(max_examples=10)
     def test_campaign_trace_is_backend_invariant(self, spec, seed):
         from repro.robustness import FaultCampaign
 
@@ -488,7 +398,7 @@ class TestFaultRecoveryDifferential:
 
     @given(spec=ring_specs(), seed=st.integers(0, 2**16),
            cut=st.integers(4, 20))
-    @settings(max_examples=15, **_SETTINGS)
+    @settings(max_examples=15)
     def test_rollback_replay_matches_golden_per_backend(self, spec, seed,
                                                         cut):
         """Corrupt one random site mid-run, roll back, replay: the
@@ -552,7 +462,7 @@ class TestDifferentialNative:
                            min_size=1, max_size=4),
            seed=st.integers(min_value=0, max_value=0xFFFF),
            bus=st.integers(min_value=0, max_value=0xFFFF))
-    @settings(max_examples=50, **_SETTINGS)
+    @settings(max_examples=50)
     def test_native_full_state_identity(self, spec, chunks, seed, bus):
         interp = build_ring(spec, fastpath=False)
         native = build_ring(spec, backend="native")
@@ -577,7 +487,7 @@ class TestDifferentialNative:
            cycles=st.integers(min_value=1, max_value=12),
            rounds=st.integers(min_value=2, max_value=4),
            seed=st.integers(min_value=0, max_value=0xFFFF))
-    @settings(max_examples=40, **_SETTINGS)
+    @settings(max_examples=40)
     def test_native_reconfiguration_churn(self, spec_a, spec_b, cycles,
                                           rounds, seed):
         """Mid-run A/B/A context churn on the native backend: cached
@@ -600,7 +510,7 @@ class TestDifferentialNative:
            seed=st.integers(min_value=0, max_value=0xFFFF),
            cut=st.integers(min_value=4, max_value=30),
            total=st.integers(min_value=10, max_value=48))
-    @settings(max_examples=30, **_SETTINGS)
+    @settings(max_examples=30)
     def test_native_checkpoint_rollback_replay(self, spec, seed, cut,
                                                total):
         """capture -> run on -> restore -> replay on the native backend

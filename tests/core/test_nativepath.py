@@ -381,9 +381,6 @@ class TestBackendRegistry:
             backends.add(ring.backend)
         assert backends == set(Ring.BACKEND_REGISTRY)
 
-    def test_lane_backends_subset(self):
-        assert set(Ring.LANE_BACKENDS) < set(Ring.BACKEND_REGISTRY)
-
 
 class TestHostStreams:
     def test_host_gather_sees_per_cycle_values(self):

@@ -1,15 +1,8 @@
-"""Sharded batch execution: pool lifecycle, stimuli, migration, errors.
+"""Lane checkpoint format of the batch engine.
 
-Directed tests for :mod:`repro.core.shardpath` — the multi-process split
-of the batch engine's lane axis.  The property-based bit-identity net
-lives in ``test_differential.py``; this file pins the machinery itself:
-span arithmetic, the picklable chunk stimuli, in-process fallback,
-shared-memory pool execution, FIFO access and writeback, checkpoint and
-lane migration (elastic resharding), configuration-sync replication,
-error paths, metrics families, and the CLI plumbing.
-
-Worker pools run with 2 workers so every test exercises real process
-boundaries regardless of the host core count.
+``BatchRing.capture_lanes`` / ``restore_lanes`` carry the full per-lane
+state between rings (and through :mod:`repro.core.snapshot`).  These
+tests pin the exported format and the lane-count guard on restore.
 """
 
 from __future__ import annotations
@@ -18,16 +11,9 @@ import numpy as np
 import pytest
 
 from repro.core.ring import Ring, RingGeometry
-from repro.core.shardpath import (
-    CycleStimulus,
-    FnStimulus,
-    ShardedBatchRing,
-    StreamStimulus,
-    shard_spans,
-)
-from repro.core.snapshot import capture, restore, state_digest
+from repro.core.snapshot import capture
+from repro.errors import SimulationError
 from repro.kernels.fir import build_spatial_fir
-from repro.errors import ConfigurationError, SimulationError
 
 _TAPS = [3, -1, 4, 1, -5, 9, 2, -6]
 
@@ -38,17 +24,8 @@ def _fir_ring(**kwargs) -> Ring:
     return ring
 
 
-def _host_zero(channel: int) -> int:
-    return 0
-
-
-def _host_pattern(channel: int, cycle: int) -> int:
-    """Module-level (picklable) deterministic host function."""
-    return (131 * channel + 7 * cycle + 5) & 0xFFFF
-
-
 def _lane_host(ring: Ring, batch: int):
-    """Per-lane array stimulus forcing the per-cycle parent path."""
+    """Per-lane array stimulus, distinct on every lane."""
     def host_in(channel: int) -> np.ndarray:
         return np.array(
             [(131 * channel + 7 * ring.cycles + 1009 * lane) & 0xFFFF
@@ -56,640 +33,28 @@ def _lane_host(ring: Ring, batch: int):
     return host_in
 
 
-@pytest.fixture
-def shard_pair():
-    """A (batch twin, shard ring, shard engine) triple; pool torn down."""
-    batch = _fir_ring(backend="batch", batch_size=5)
-    shard = _fir_ring(backend="shard", batch_size=5, shard_workers=2)
-    engine = shard.shard
-    yield batch, shard, engine
-    engine.close()
-
-
-class TestShardSpans:
-    def test_even_split(self):
-        assert shard_spans(8, 2) == [(0, 4), (4, 8)]
-
-    def test_remainder_spread_to_first_workers(self):
-        assert shard_spans(10, 4) == [(0, 3), (3, 6), (6, 8), (8, 10)]
-
-    def test_spans_tile_the_batch(self):
-        for batch in (1, 5, 9, 32):
-            for workers in (1, 2, 3, 7):
-                spans = shard_spans(batch, workers)
-                covered = [lane for lo, hi in spans
-                           for lane in range(lo, hi)]
-                assert covered == list(range(batch))
-
-
-class TestChunkStimuli:
-    def test_fn_stimulus_scalar_passthrough(self):
-        stim = FnStimulus(_host_zero)
-        assert stim.lane_words(0, 12) == 0
-        assert stim.sliced(1, 3).lane_words(0, 99) == 0
-
-    def test_cycle_stimulus_slices_batch_reads(self):
-        def fn(channel, cycle):
-            return [channel + cycle + lane for lane in range(4)]
-        stim = CycleStimulus(fn).sliced(1, 3)
-        got = stim.lane_words(10, 2)
-        assert got.tolist() == [13, 14]
-
-    def test_cycle_stimulus_scalar_broadcast(self):
-        stim = CycleStimulus(_host_pattern).sliced(0, 2)
-        assert stim.lane_words(1, 3) == _host_pattern(1, 3)
-
-    def test_stream_stimulus_all_queue_then_idle(self):
-        stim = StreamStimulus(100, {0: ("all", [11, 22])}, idle={0: 9})
-        assert stim.lane_words(0, 100) == 11
-        assert stim.lane_words(0, 101) == 22
-        assert stim.lane_words(0, 102) == 9
-
-    def test_stream_stimulus_unknown_channel_presents_idle(self):
-        stim = StreamStimulus(0, {}, idle={3: 7})
-        assert stim.lane_words(3, 5) == 7
-        assert stim.lane_words(4, 5) == 0
-
-    def test_stream_stimulus_lane_queues_sliced(self):
-        lanes = [[1], [2, 20], [3, 30]]
-        stim = StreamStimulus(0, {0: ("lanes", lanes)}, idle={0: 99})
-        full = stim.lane_words(0, 1)
-        assert full.tolist() == [99, 20, 30]
-        shard = stim.sliced(1, 3)
-        assert shard.lane_words(0, 0).tolist() == [2, 3]
-        assert shard.lane_words(0, 1).tolist() == [20, 30]
-
-
-class TestFallback:
-    def test_single_worker_stays_in_process(self):
-        ring = _fir_ring(backend="shard", batch_size=4, shard_workers=1)
-        engine = ring.shard
-        assert not engine.using_processes
-        ring.run(30, host_in=_host_zero)
-        twin = _fir_ring(backend="batch", batch_size=4)
-        twin.run(30, host_in=_host_zero)
-        assert state_digest(ring) == state_digest(twin)
-        engine.close()
-
-    def test_workers_clamped_to_batch(self):
-        ring = _fir_ring(backend="shard", batch_size=2, shard_workers=8)
-        assert ring.shard.workers == 2
-        ring.shard.close()
-
-    def test_pool_failure_falls_back(self, monkeypatch):
-        monkeypatch.setattr(ShardedBatchRing, "_shared_memory_module",
-                            staticmethod(lambda: None))
-        ring = _fir_ring(backend="shard", batch_size=3, shard_workers=2)
-        engine = ring.shard
-        assert not engine.using_processes
-        ring.run(20, host_in=_host_zero)
-        twin = _fir_ring(backend="batch", batch_size=3)
-        twin.run(20, host_in=_host_zero)
-        assert state_digest(ring) == state_digest(twin)
-        engine.close()
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            _fir_ring(backend="shard", batch_size=2, shard_workers=0)
-        with pytest.raises(ConfigurationError):
-            _fir_ring(backend="batch", shard_workers=2)
-        with pytest.raises(ConfigurationError):
-            ShardedBatchRing(_fir_ring(), 0)
-
-
-class TestPoolExecution:
-    def test_chunk_mode_matches_batch_backend(self, shard_pair):
-        batch, shard, engine = shard_pair
-        assert engine.using_processes and engine.workers == 2
-        batch.run(40, host_in=_host_zero)
-        shard.run(40, host_in=_host_zero)
-        assert state_digest(shard) == state_digest(batch)
-        assert engine.chunks >= 1
-
-    def test_per_cycle_mode_matches_batch_backend(self, shard_pair):
-        batch, shard, engine = shard_pair
-        batch.run(15, host_in=_lane_host(batch, 5))
-        shard.run(15, host_in=_lane_host(shard, 5))
-        assert state_digest(shard) == state_digest(batch)
-
-    def test_step_advances_one_cycle(self, shard_pair):
-        _, shard, engine = shard_pair
-        engine.step(host_in=_host_zero)
-        assert shard.cycles == 1
-
-    def test_push_fifo_broadcast_and_per_lane(self, shard_pair):
-        batch, shard, engine = shard_pair
-        for ring in (batch, shard):
-            ring.push_fifo(0, 0, 1, [10, 20])
-        engine.push_fifo(0, 0, 1, 77, lane=3)
-        batch.batch.push_fifo(0, 0, 1, 77, lane=3)
-        assert engine.fifo_contents(0, 0, 1, 0) == [10, 20]
-        assert engine.fifo_contents(0, 0, 1, 3) == [10, 20, 77]
-        batch.run(10, host_in=_host_zero)
-        shard.run(10, host_in=_host_zero)
-        assert state_digest(shard) == state_digest(batch)
-
-    def test_push_fifo_validates(self, shard_pair):
-        _, _, engine = shard_pair
-        with pytest.raises(ConfigurationError):
-            engine.push_fifo(0, 0, 3, [1])
-        with pytest.raises(ConfigurationError):
-            engine.push_fifo(0, 0, 1, [1], lane=99)
-        with pytest.raises(ValueError):
-            engine.push_fifo(0, 0, 1, [0x10000])
-
-    def test_store_lane_matches_batch_store_lane(self, shard_pair):
-        batch, shard, engine = shard_pair
-        batch.run(25, host_in=_lane_host(batch, 5))
-        shard.run(25, host_in=_lane_host(shard, 5))
-        for lane in range(5):
-            want = Ring(batch.geometry)
-            batch.batch.store_lane(lane, want)
-            got = Ring(shard.geometry)
-            engine.store_lane(lane, got)
-            assert state_digest(got) == state_digest(want), (
-                f"lane {lane} writeback diverged"
-            )
-
-    def test_lane_views_have_batch_shape(self, shard_pair):
-        _, shard, engine = shard_pair
-        shard.run(5, host_in=_host_zero)
-        assert engine.lane_outs(0, 0).shape == (5,)
-        assert engine.lane_regs(0, 0).shape[-1] == 5
-        assert engine.lane_underflows.shape == (5,)
-        pops = engine.lane_fifo_pops
-        assert pops[(0, 0)].shape == (5,)
-
-    def test_config_change_syncs_once_on_next_run(self, shard_pair):
-        from repro.core.isa import NOP_WORD
-        batch, shard, engine = shard_pair
-        batch.run(10, host_in=_host_zero)
-        shard.run(10, host_in=_host_zero)
-        for ring in (batch, shard):
-            ring.config.write_microword(2, 1, NOP_WORD)
-        assert engine._config_dirty
-        shard.run(10, host_in=_host_zero)
-        batch.run(10, host_in=_host_zero)
-        assert engine.syncs == 1
-        assert not engine._config_dirty
-        assert state_digest(shard) == state_digest(batch)
-
-    def test_set_plan_cache_broadcasts(self, shard_pair):
-        _, shard, engine = shard_pair
-        engine.set_plan_cache(0)
-        shard.run(10, host_in=_host_zero)
-        engine.set_plan_cache(4)
-        shard.run(10, host_in=_host_zero)
-        twin = _fir_ring(backend="batch", batch_size=5)
-        twin.run(20, host_in=_host_zero)
-        assert state_digest(shard) == state_digest(twin)
-
-    def test_negative_cycles_rejected(self, shard_pair):
-        _, _, engine = shard_pair
-        with pytest.raises(SimulationError):
-            engine.run(-1)
-
-    def test_bad_batch_host_shape_rejected(self, shard_pair):
-        _, _, engine = shard_pair
-        with pytest.raises(SimulationError):
-            engine.run(1, host_in=lambda ch: np.zeros(3, dtype=np.int64))
-
-    def test_closed_engine_rejects_use(self):
-        ring = _fir_ring(backend="shard", batch_size=4, shard_workers=2)
-        engine = ring.shard
-        engine.close()
-        with pytest.raises(SimulationError):
-            engine.run(1)
-        engine.close()  # idempotent
-
-    def test_repr_mentions_mode(self, shard_pair):
-        _, _, engine = shard_pair
-        assert "ShardedBatchRing" in repr(engine)
-
-
-class TestStrictFifoDivergence:
-    def test_abort_matches_batch_message_and_state(self):
-        """Lanes run dry at different cycles; the parent must adopt the
-        earliest-aborting shard's cycle and re-raise the scalar text."""
-        def loaded(backend, **kw):
-            ring = _fir_ring(backend=backend, batch_size=4,
-                             strict_fifos=True, **kw)
-            engine = ring.batch if backend == "batch" else ring.shard
-            # FIFO-sourced input with per-lane depth: lane i holds i
-            # words, so shards abort at different chunk offsets.
-            from repro.core.ring import PortSource
-            ring.config.write_switch_route(0, 0, 1, PortSource.rp(1, 1))
-            from repro.core.isa import Dest, MicroWord, Opcode, Source
-            ring.config.write_microword(0, 0, MicroWord(
-                Opcode.ADD, Source.FIFO1, Source.IMM, Dest.OUT, imm=1))
-            for lane in range(4):
-                engine.push_fifo(0, 0, 1, [7] * lane, lane=lane)
-            return ring, engine
-
-        results = {}
-        for backend, kw in (("batch", {}), ("shard",
-                                            {"shard_workers": 2})):
-            ring, engine = loaded(backend, **kw)
-            with pytest.raises(SimulationError) as err:
-                ring.run(10, host_in=_host_zero)
-            # Lanes 0-1 belong to the earliest-aborting shard, whose
-            # abort cycle equals the whole-batch engine's; lanes 2-3 may
-            # legitimately run ahead under sharding (the documented
-            # strict-FIFO divergence), so only the aborting shard's
-            # lanes are comparable.
-            lanes = []
-            for lane in (0, 1):
-                target = Ring(ring.geometry)
-                engine.store_lane(lane, target)
-                lanes.append(state_digest(target))
-            results[backend] = (str(err.value), ring.cycles, lanes)
-            if backend == "shard":
-                engine.close()
-        assert results["shard"][0] == results["batch"][0]
-        assert results["shard"][1] == results["batch"][1]
-        assert results["shard"][2] == results["batch"][2]
-
-
 class TestCheckpointAndMigration:
-    def test_snapshot_rollback_replay_bit_identical(self, shard_pair):
-        batch, shard, engine = shard_pair
-        for ring in (batch, shard):
-            ring.run(20, host_in=_lane_host(ring, 5))
-        snap = capture(shard)
-        shard.run(15, host_in=_host_zero)
-        batch.run(15, host_in=_host_zero)
-        after = state_digest(shard)
-        restore(shard, snap)
-        shard.run(15, host_in=_host_zero)
-        assert state_digest(shard) == after == state_digest(batch)
+    def test_capture_lanes_matches_batch_format(self):
+        ring = _fir_ring(backend="batch", batch_size=5)
+        ring.push_fifo(1, 0, 2, [5, 6])
+        ring.run(12, host_in=_lane_host(ring, 5))
+        lanes = ring.batch.capture_lanes()
+        # Plain, self-contained data: every lane, no live array views.
+        assert set(lanes) == {"batch", "outs", "regs", "pipes", "head",
+                              "counters", "fifos", "lane_underflows",
+                              "lane_fifo_pops"}
+        assert lanes["batch"] == 5
+        assert lanes["outs"] == ring.batch.outs.tolist()
+        assert lanes["regs"] == ring.batch.regs.tolist()
+        assert lanes["pipes"] == ring.batch.pipes.tolist()
+        assert len(lanes["lane_underflows"]) == 5
+        assert all(len(lane_fifos) == 5
+                   for lane_fifos in lanes["fifos"].values())
+        # A ring snapshot stores exactly this dict.
+        assert capture(ring).lanes == lanes
 
-    def test_capture_lanes_matches_batch_format(self, shard_pair):
-        batch, shard, engine = shard_pair
-        for ring in (batch, shard):
-            ring.push_fifo(1, 0, 2, [5, 6])
-            ring.run(12, host_in=_lane_host(ring, 5))
-        want = batch.batch.capture_lanes()
-        got = engine.capture_lanes()
-        assert got == want
-
-    def test_batch_snapshot_restores_onto_shard_ring(self, shard_pair):
-        """A lanes-bearing snapshot captured from the *batch* backend
-        restores onto a shard-backend ring of the same lane count —
-        snapshot.restore routes the lanes through restore_lanes (scalar
-        stats ride the snapshot itself, not the lane dict)."""
-        batch, shard, engine = shard_pair
-        batch.run(18, host_in=_lane_host(batch, 5))
-        restore(shard, capture(batch))
-        assert state_digest(shard) == state_digest(batch)
-        shard.run(7, host_in=_host_zero)
-        batch.run(7, host_in=_host_zero)
-        assert state_digest(shard) == state_digest(batch)
-
-    def test_restore_lanes_rejects_wrong_batch(self, shard_pair):
-        _, _, engine = shard_pair
-        other = _fir_ring(backend="batch", batch_size=3)
-        state = other.batch.capture_lanes()
-        with pytest.raises(SimulationError):
+    def test_restore_lanes_rejects_wrong_batch(self):
+        engine = _fir_ring(backend="batch", batch_size=5).batch
+        state = _fir_ring(backend="batch", batch_size=3).batch.capture_lanes()
+        with pytest.raises(SimulationError, match="3 lanes"):
             engine.restore_lanes(state)
-
-    @pytest.mark.parametrize("plan", [(2, 1), (2, 4), (1, 2)])
-    def test_elastic_resharding_preserves_every_lane(self, plan):
-        first, second = plan
-        shard = _fir_ring(backend="shard", batch_size=5,
-                          shard_workers=first)
-        twin = _fir_ring(backend="batch", batch_size=5)
-        engine = shard.shard
-        shard.run(20, host_in=_lane_host(shard, 5))
-        twin.run(20, host_in=_lane_host(twin, 5))
-        engine.set_workers(second)
-        assert engine.workers == min(second, 5)
-        assert engine.reshards == 1
-        shard.run(20, host_in=_host_zero)
-        twin.run(20, host_in=_host_zero)
-        assert state_digest(shard) == state_digest(twin)
-        engine.close()
-
-    def test_set_workers_same_count_is_noop(self, shard_pair):
-        _, _, engine = shard_pair
-        engine.set_workers(2)
-        assert engine.reshards == 0
-
-    def test_set_backend_shard_workers_migrates_live(self):
-        shard = _fir_ring(backend="shard", batch_size=4, shard_workers=2)
-        shard.run(10, host_in=_host_zero)
-        shard.set_backend("shard", shard_workers=1)
-        engine = shard.shard
-        assert engine.reshards == 1 and not engine.using_processes
-        twin = _fir_ring(backend="batch", batch_size=4)
-        twin.run(10, host_in=_host_zero)
-        assert state_digest(shard) == state_digest(twin)
-        engine.close()
-
-
-class TestCrashSafeTeardown:
-    """Satellite: no /dev/shm leaks and no double-unlink, ever."""
-
-    def _attachable(self, name: str) -> bool:
-        from multiprocessing import shared_memory
-        try:
-            block = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            return False
-        block.close()
-        return True
-
-    def test_close_releases_blocks_and_stays_idempotent(self):
-        ring = _fir_ring(backend="shard", batch_size=4, shard_workers=2)
-        engine = ring.shard
-        ring.run(5, host_in=_host_zero)
-        names = [block.name for block in engine._blocks]
-        assert names and all(self._attachable(n) for n in names)
-        engine.close()
-        assert engine._blocks == []
-        assert not any(self._attachable(n) for n in names)
-        # Second close and a direct second release: nothing to double-
-        # unlink, no resource-tracker noise.
-        engine.close()
-        engine._release_blocks()
-
-    def test_finalizer_guard_tears_down_live_pool(self):
-        """The crash path: drop the engine without close() and the
-        weakref.finalize guard must reap pipes, processes and blocks."""
-        ring = _fir_ring(backend="shard", batch_size=4, shard_workers=2)
-        engine = ring.shard
-        ring.run(5, host_in=_host_zero)
-        procs = list(engine._procs)
-        names = [block.name for block in engine._blocks]
-        assert procs and all(p.is_alive() for p in procs)
-        engine._finalizer()  # what GC / interpreter exit would run
-        assert engine._procs == [] and engine._conns == []
-        assert engine._blocks == []
-        for proc in procs:
-            proc.join(timeout=5)
-            assert not proc.is_alive()
-        assert not any(self._attachable(n) for n in names)
-        # A late graceful close after the guard already ran is a no-op.
-        engine.close()
-
-    def test_close_then_finalizer_is_noop(self):
-        ring = _fir_ring(backend="shard", batch_size=4, shard_workers=2)
-        engine = ring.shard
-        engine.close()
-        engine._finalizer()  # lists already drained; must not raise
-
-    def test_inline_engine_finalizer_harmless(self):
-        ring = _fir_ring(backend="shard", batch_size=4, shard_workers=1)
-        engine = ring.shard
-        assert not engine.using_processes
-        engine._finalizer()
-        engine.close()
-
-    def test_garbage_collection_reaps_unclosed_engine(self):
-        import gc
-        ring = _fir_ring(backend="shard", batch_size=4, shard_workers=2)
-        engine = ring.shard
-        ring.run(3, host_in=_host_zero)
-        procs = list(engine._procs)
-        names = [block.name for block in engine._blocks]
-        del ring, engine
-        gc.collect()
-        for proc in procs:
-            proc.join(timeout=5)
-            assert not proc.is_alive()
-        assert not any(self._attachable(n) for n in names)
-
-
-class TestRingIntegration:
-    def test_shard_property_requires_backend(self):
-        ring = _fir_ring()
-        with pytest.raises(ConfigurationError):
-            ring.shard
-
-    def test_reset_tears_pool_down(self):
-        ring = _fir_ring(backend="shard", batch_size=4, shard_workers=2)
-        engine = ring.shard
-        ring.run(5, host_in=_host_zero)
-        ring.reset()
-        assert ring._shard_engine is None
-        assert engine._closed
-        # A fresh engine comes up on demand after reset.
-        ring.run(3, host_in=_host_zero)
-        assert ring._shard_engine is not None
-        ring._shard_engine.close()
-
-    def test_set_backend_away_detaches_engine(self):
-        ring = _fir_ring(backend="shard", batch_size=4, shard_workers=2)
-        engine = ring.shard
-        ring.run(5, host_in=_host_zero)
-        ring.set_backend("fastpath")
-        assert engine._closed
-        ring.run(5, host_in=_host_zero)
-        assert ring.cycles == 10
-
-
-class TestSystemChunkPath:
-    def test_streamed_system_matches_batch_system(self):
-        from repro.asm import assemble, load_system
-        src = (".ring boot\n"
-               "dnode 0.0 global\n"
-               "    add out, in1, #5\n"
-               "switch 0\n"
-               "    route 0.1 <- host0\n")
-        obj = assemble(src, layers=4, width=2)
-
-        def run_system(backend, **kw):
-            system = load_system(obj)
-            system.ring.set_backend(backend, 3, **kw)
-            from repro.host.streams import DataController
-            system.data = DataController(batch=3)
-            system.data.stream(0, [10, 20, 30])
-            system.data.stream(0, [100], lane=1)
-            system.run(8)
-            return system
-
-        want = run_system("batch")
-        got = run_system("shard", shard_workers=2)
-        engine = got.ring.shard
-        assert engine.chunks == 1, "idle chunk must be one IPC round"
-        assert state_digest(got.ring) == state_digest(want.ring)
-        for index in (0,):
-            a = want.data.channel(index)
-            b = got.data.channel(index)
-            assert b.delivered == a.delivered
-            assert b.underruns == a.underruns
-        engine.close()
-
-    def test_tapped_system_collects_per_lane(self):
-        from repro.asm import assemble, load_system
-        src = (".ring boot\n"
-               "dnode 0.0 global\n"
-               "    add out, in1, #5\n"
-               "switch 0\n"
-               "    route 0.1 <- host0\n")
-        obj = assemble(src, layers=4, width=2)
-
-        def run_system(backend, **kw):
-            system = load_system(obj)
-            system.ring.set_backend(backend, 2, **kw)
-            from repro.host.streams import DataController
-            system.data = DataController(batch=2)
-            system.data.stream(0, [10, 20], lane=0)
-            system.data.stream(0, [1, 2], lane=1)
-            tap = system.data.add_tap(0, 0, limit=4)
-            system.run(6)
-            return tap
-
-        want = run_system("batch")
-        got = run_system("shard", shard_workers=2)
-        assert got.lane(0) == want.lane(0)
-        assert got.lane(1) == want.lane(1)
-
-
-class TestShardMetrics:
-    def test_families_present_and_live(self, shard_pair):
-        _, shard, engine = shard_pair
-        from repro.host.system import RingSystem
-        from repro.analysis.metrics import MetricsRegistry
-        shard.run(10, host_in=_host_zero)
-        engine.set_workers(1)
-        engine.set_workers(2)
-        snapshot = MetricsRegistry.of(RingSystem(shard)).collect()
-        assert snapshot.value("shard_workers") == 2
-        assert snapshot.value("shard_using_processes") == 1
-        assert snapshot.value("shard_chunks_total") >= 1
-        assert snapshot.value("shard_reshards_total") == 2
-        assert snapshot.value("shard_messages_total") > 0
-        lanes = sum(snapshot.value("shard_worker_lanes", worker=str(w))
-                    for w in range(2))
-        assert lanes == 5
-
-
-class TestShardCli:
-    SRC = (".ring boot\n"
-           "dnode 0.0 global\n"
-           "    add out, in1, #5\n"
-           "switch 0\n"
-           "    route 0.1 <- host0\n")
-
-    @pytest.fixture
-    def ring_obj(self, tmp_path, capsys):
-        from repro.tools.__main__ import main
-        path = tmp_path / "ring.asm"
-        path.write_text(self.SRC)
-        main(["asm", str(path)])
-        capsys.readouterr()
-        return path.with_suffix(".obj")
-
-    def test_run_backend_shard(self, ring_obj, capsys):
-        from repro.tools.__main__ import main
-        code = main(["run", str(ring_obj), "--backend", "shard",
-                     "--batch-size", "3", "--shard-workers", "2",
-                     "--stream", "0:10,20,30", "--tap", "0.0:3",
-                     "--cycles", "6"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "ran 6 cycles x 3 lanes" in out
-        assert "lane 0: [15, 25, 35]" in out
-        assert "lane 2: [15, 25, 35]" in out
-
-    def test_shard_workers_requires_shard_backend(self, ring_obj, capsys):
-        from repro.tools.__main__ import main
-        code = main(["run", str(ring_obj), "--backend", "batch",
-                     "--batch-size", "2", "--shard-workers", "2"])
-        assert code == 1
-        assert "--shard-workers requires" in capsys.readouterr().err
-
-    def test_batch_size_guard_names_both_backends(self, ring_obj, capsys):
-        from repro.tools.__main__ import main
-        code = main(["run", str(ring_obj), "--batch-size", "2"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "batch or shard" in err
-
-
-class TestWorkerCap:
-    """Satellite: effective workers never exceed the core-count ceiling.
-
-    The ceiling is ``os.cpu_count()`` by default and overridable with
-    ``REPRO_SHARD_MAX_WORKERS`` (the suite's conftest pins it to 8 so
-    2-worker pool tests behave identically on 1-core runners); the
-    clamped difference surfaces as the ``shard_workers_capped`` gauge.
-    """
-
-    def test_ceiling_follows_env_override(self, monkeypatch):
-        from repro.core.shardpath import MAX_WORKERS_ENV, max_shard_workers
-        monkeypatch.setenv(MAX_WORKERS_ENV, "3")
-        assert max_shard_workers() == 3
-
-    def test_ceiling_defaults_to_cpu_count(self, monkeypatch):
-        import os
-        from repro.core.shardpath import MAX_WORKERS_ENV, max_shard_workers
-        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
-        assert max_shard_workers() == (os.cpu_count() or 1)
-
-    @pytest.mark.parametrize("bad", ["zero?", "0", "-2"])
-    def test_ceiling_rejects_bad_env(self, monkeypatch, bad):
-        from repro.core.shardpath import MAX_WORKERS_ENV, max_shard_workers
-        monkeypatch.setenv(MAX_WORKERS_ENV, bad)
-        with pytest.raises(ConfigurationError):
-            max_shard_workers()
-
-    def test_oversubscribed_request_is_clamped(self, monkeypatch):
-        from repro.core.shardpath import MAX_WORKERS_ENV
-        monkeypatch.setenv(MAX_WORKERS_ENV, "1")
-        ring = _fir_ring(backend="shard", batch_size=4, shard_workers=4)
-        engine = ring.shard
-        try:
-            assert engine.workers_requested == 4
-            assert engine.workers == 1
-        finally:
-            engine.close()
-
-    def test_capped_metric_reports_the_difference(self, monkeypatch):
-        import json
-        from repro.analysis.metrics import collect_metrics
-        from repro.core.shardpath import MAX_WORKERS_ENV
-        monkeypatch.setenv(MAX_WORKERS_ENV, "1")
-        ring = _fir_ring(backend="shard", batch_size=4, shard_workers=3)
-        engine = ring.shard
-        try:
-            ring.run(4, host_in=_host_zero)
-            data = json.loads(collect_metrics(ring).to_json())
-            assert data["shard_workers"] == 1
-            assert data["shard_workers_capped"] == 2
-        finally:
-            engine.close()
-
-    def test_uncapped_request_reports_zero(self, shard_pair):
-        import json
-        from repro.analysis.metrics import collect_metrics
-        _, shard, engine = shard_pair
-        shard.run(2, host_in=_host_zero)
-        data = json.loads(collect_metrics(shard).to_json())
-        assert data["shard_workers_capped"] == 0
-
-    def test_set_workers_respects_ceiling(self, monkeypatch):
-        from repro.core.shardpath import MAX_WORKERS_ENV
-        monkeypatch.setenv(MAX_WORKERS_ENV, "1")
-        ring = _fir_ring(backend="shard", batch_size=4, shard_workers=1)
-        engine = ring.shard
-        try:
-            ring.run(2, host_in=_host_zero)
-            before = state_digest(ring)
-            engine.set_workers(4)
-            assert engine.workers == 1
-            assert engine.workers_requested == 4
-            assert state_digest(ring) == before, "migration bit-identical"
-        finally:
-            engine.close()
-
-    def test_default_request_uses_ceiling(self, monkeypatch):
-        from repro.core.shardpath import MAX_WORKERS_ENV
-        monkeypatch.setenv(MAX_WORKERS_ENV, "2")
-        ring = _fir_ring(backend="shard", batch_size=5)
-        engine = ring.shard
-        try:
-            assert engine.workers == 2
-            assert engine.workers_requested == 2
-        finally:
-            engine.close()

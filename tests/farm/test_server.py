@@ -12,9 +12,10 @@ import asyncio
 import hashlib
 import json
 
+from repro.core.ring import Ring, RingGeometry
 from repro.farm import RingFarm
-from repro.farm.job import job_to_wire
-from repro.farm.server import FarmServer, request
+from repro.farm.job import FarmJob, job_to_wire
+from repro.farm.server import LINE_LIMIT, FarmServer, request
 
 from tests.farm.test_farm import direct_run, fir_job
 
@@ -139,6 +140,50 @@ class TestFarmServer:
         assert not bad_json["ok"] and "bad json" in bad_json["error"]
         assert non_object["error"] == "request must be an object"
         assert "unknown op" in unknown["error"]
+
+    def test_64x8_fabric_round_trips(self):
+        ring = Ring(RingGeometry(layers=64, width=8))
+        job = FarmJob(tenant="dave", layers=64, width=8,
+                      plane=ring.config.capture_plane(), cycles=4,
+                      streams={0: [1, 2, 3]}, taps=[(63, 7, None)])
+        line = json.dumps({"op": "submit", "job": job_to_wire(job)})
+        assert 1 << 16 < len(line) < LINE_LIMIT
+        want_taps, want_digest = direct_run(job)
+
+        async def go(farm, server):
+            return await request("127.0.0.1", server.port,
+                                 json.loads(line))
+
+        reply = serve(go)
+        assert reply["ok"], reply
+        assert reply["result"]["taps"] == want_taps
+        assert reply["result"]["digest"] == hashlib.sha256(
+            repr(want_digest).encode()).hexdigest()
+
+    def test_over_limit_line_gets_error_then_close(self):
+        line = (b'{"op": "ping", "pad": "' + b"x" * LINE_LIMIT
+                + b'"}\n')
+
+        async def go(farm, server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            try:
+                writer.write(line)
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                closed = await reader.read() == b""
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            alive = await request("127.0.0.1", server.port,
+                                  {"op": "ping"})
+            return reply, closed, alive
+
+        reply, closed, alive = serve(go)
+        assert reply == {"ok": False, "error": f"request line exceeds "
+                                               f"{LINE_LIMIT} bytes"}
+        assert closed, "the server closes an over-limit connection"
+        assert alive["ok"]
 
     def test_port_zero_binds_a_real_port(self):
         async def go(farm, server):

@@ -230,43 +230,3 @@ class TestCaptureStateIsDeepCopy:
         dc.restore_state(state)
         state["channels"][0]["queue"].append(999)
         assert dc.channel(0).pending() == 2
-
-
-class TestShardRunAccounting:
-    """absorb_shard_run == the same number of live advance() clocks."""
-
-    def _live_twin(self, batch: int):
-        dc = DataController(batch=batch)
-        dc.stream(0, [1, 2, 3])
-        if batch > 1:
-            dc.stream(1, [4], lane=0)
-        else:
-            dc.stream(1, [4])
-        return dc
-
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_matches_per_cycle_advance(self, batch):
-        cycles = 5
-        live = self._live_twin(batch)
-        for _ in range(cycles):
-            live.host_in(0)
-            live.host_in(1)
-            live.advance()
-        chunked = self._live_twin(batch)
-        chunked.absorb_shard_run(cycles, read_channels={0, 1})
-        for index in (0, 1):
-            a, b = live.channel(index), chunked.channel(index)
-            assert a.delivered == b.delivered
-            assert a.underruns == b.underruns
-            assert a.pending() == b.pending()
-
-    def test_unrouted_channels_advance_without_underruns(self):
-        dc = self._live_twin(1)
-        dc.absorb_shard_run(6, read_channels={0})
-        assert dc.channel(1).delivered == 1
-        assert dc.channel(1).underruns == 0
-        assert dc.channel(0).underruns == 3
-
-    def test_rejects_negative_executed(self):
-        with pytest.raises(HostError):
-            DataController().absorb_shard_run(-1, read_channels=())

@@ -35,7 +35,6 @@ ENGINES = {
     "native": {"backend": "native"},
     "macro": {"macro_step": 4},
     "batch": {"backend": "batch", "batch_size": 2},
-    "shard": {"backend": "shard", "batch_size": 2, "shard_workers": 2},
 }
 
 

@@ -242,7 +242,7 @@ class TestScenarioValidation:
 
 
 class TestLaneIndexingRegressions:
-    """The batch/shard tap drift: ``tap.samples`` on a lane backend is a
+    """The batch tap drift: ``tap.samples`` on a batch backend is a
     list of lane arrays.  The kernels now read lane 0 explicitly; these
     pin the fixed helpers bit-identical to their scalar-engine runs."""
 

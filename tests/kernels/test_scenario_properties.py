@@ -5,7 +5,9 @@ fabric is tested against, so their *mathematical* properties are pinned
 here once, against floats and big-integer arithmetic:
 
 * CORDIC rotation/vectoring track the real rotation within tight
-  absolute bounds (gain included), and the vectoring residual collapses;
+  absolute bounds (gain included; the vectoring angle within a bound
+  derived from the shift truncation), and the vectoring residual
+  collapses;
 * the half-band resampler's even phase is a perfect-reconstruction
   identity, the odd phase a bounded midpoint on band-limited signals,
   and all four factors are DC-exact after their warm-ups;
@@ -36,6 +38,41 @@ def _wrap(v: int) -> int:
     return word.to_signed(word.from_signed(v & 0xFFFF))
 
 
+def _vectoring_angle_bound(x: int, y: int, iterations: int = 12) -> float:
+    """Worst-case angle error of ``cordic_vector(x, y)``, in 2^16-per-turn
+    units, derived from the golden's arithmetic (for ``x > 0``).
+
+    * Exact-arithmetic CORDIC leaves a residual of at most the last
+      micro-rotation, ``atan(2^-(n-1))``.
+    * The angle register adds rounded ``ATAN16`` entries: their rounding
+      errors add up.
+    * Iteration ``i >= 1`` floors ``x >> i`` and ``y >> i``, adding an
+      error vector shorter than sqrt(2) to a vector of length at least
+      ``g_(i+1) |v| - sqrt(2) K i`` (``g`` the partial CORDIC gain, the
+      second term the earlier errors grown by at most ``K``).  That turns
+      the vector by at most the arcsine of their ratio.  A turn can
+      steer every later direction decision, so the turns of iterations
+      1..n-2 add to the residual; the last iteration's error never
+      reaches the angle register.
+
+    The truncation term scales like 1/|v|: the whole bound is about 190
+    units at |v| = 500 and 14 at |v| = 12,700.
+    """
+    units = 65536 / (2 * math.pi)
+    rounding = sum(abs(reference.ATAN16[i] - math.atan(2.0 ** -i) * units)
+                   for i in range(iterations))
+    length = math.hypot(x, y)
+    gain, turn = 1.0, 0.0
+    for i in range(iterations - 1):
+        gain *= math.sqrt(1 + 4.0 ** -i)
+        if i >= 1:
+            error = math.sqrt(2)
+            reach = length * gain - error * reference.CORDIC_GAIN * i
+            turn += math.asin(min(1.0, error / reach))
+    residual = math.atan(2.0 ** (1 - iterations))
+    return (residual + turn) * units + rounding
+
+
 class TestCordicProperties:
     @given(x=coords, y=coords, z=angles)
     @settings(max_examples=200)
@@ -49,6 +86,8 @@ class TestCordicProperties:
         assert abs(yr - yf) <= 26
 
     @given(x=st.integers(min_value=500, max_value=9000), y=coords)
+    @example(x=500, y=-172)       # 56.8 units off: over a flat 48
+    @example(x=556, y=-268)       # 65.9 units off: the sweep's largest
     @settings(max_examples=200)
     def test_vectoring_magnitude_and_angle(self, x, y):
         xr, yr, zr = reference.cordic_vector(x, y, 0, iterations=12)
@@ -57,7 +96,7 @@ class TestCordicProperties:
         assert abs(xr - magnitude) <= 16
         assert abs(yr) <= 24          # the residual collapses to ~0
         delta = abs(zr - angle) % 65536
-        assert min(delta, 65536 - delta) <= 48
+        assert min(delta, 65536 - delta) <= _vectoring_angle_bound(x, y)
 
     @given(x=coords, y=coords, z=angles)
     @settings(max_examples=100)

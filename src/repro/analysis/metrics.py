@@ -143,6 +143,7 @@ class MetricsRegistry:
     def collect(self) -> MetricsSnapshot:
         metrics: List[Metric] = []
         metrics.extend(self._ring_metrics())
+        metrics.extend(self._fallback_metrics())
         metrics.extend(self._dnode_metrics())
         metrics.extend(self._switch_metrics())
         metrics.extend(self._fifo_metrics())
@@ -217,6 +218,18 @@ class MetricsRegistry:
         ]
         return [Metric(name, kind, help_, (((), float(value)),))
                 for name, kind, help_, value in scalar]
+
+    def _fallback_metrics(self) -> List[Metric]:
+        fallbacks = getattr(self.ring, "engine_fallbacks", {})
+        samples = tuple(
+            ((("reason", reason),), float(count))
+            for reason, count in sorted(fallbacks.items())
+        )
+        return [Metric(
+            "engine_fallback_total", "counter",
+            "Steady spans a fused rung (macro/native) refused, by named "
+            "reason: the tier's ineligibility or deferred codegen.",
+            samples)]
 
     def _cache_counter(self, attr: str) -> int:
         """One plan-cache counter summed over the ring's cache and the

@@ -58,6 +58,7 @@ import numpy as np
 from repro import word
 from repro.core.alu import NUMPY, render_expr
 from repro.core.dnode import Dnode, DnodeMode, _MULTIPLY_OPS, _OP_COST
+from repro.core.hostio import HostWindow
 from repro.core.isa import (
     ACCUMULATING_OPS,
     Dest,
@@ -198,6 +199,11 @@ class _BatchFifo:
         self.count -= ok
         return ok
 
+    def clear(self) -> None:
+        """Empty every lane in place (kernels keep this object)."""
+        self.head[:] = 0
+        self.count[:] = 0
+
     def contents(self, lane: int) -> List[int]:
         c = int(self.count[lane])
         if not c:
@@ -329,6 +335,27 @@ class BatchRing:
         # replaced above, so every cached entry is stale.
         self.plan_cache.clear()
 
+    def reset_lanes(self) -> None:
+        """Clear the lane datapath in place after a ring reset.
+
+        Mirrors the scalar reset on every lane: OUTs, registers,
+        pipelines (and their rotation head), local counters, FIFOs and
+        the per-lane pop/underflow counters go to zero.  The compiled
+        kernels close over these very arrays, cells and FIFO objects, so
+        they — and the engine's kernel cache — stay valid: the next run
+        resumes without recompiling.
+        """
+        for array in (self.outs, self.regs, self.pipes, self._pending,
+                      self.lane_underflows):
+            array.fill(0)
+        for counts in self.lane_fifo_pops.values():
+            counts.fill(0)
+        for cell in self._counters.values():
+            cell[0] = 0
+        for fifo in self._fifos.values():
+            fifo.clear()
+        self._head = 0
+
     def set_plan_cache(self, capacity: int) -> None:
         """Resize (or with 0, disable) the engine's kernel cache."""
         self.plan_cache = PlanCache(capacity)
@@ -456,7 +483,9 @@ class BatchRing:
         """Advance every lane by *cycles* fabric clocks.
 
         ``bus`` is the (scalar) shared bus value; ``host_in(channel)``
-        may return a scalar word or a ``(batch,)`` integer array.
+        may return a scalar word or a ``(batch,)`` integer array.  A bulk
+        :class:`~repro.core.hostio.HostWindow` supplies pre-checked
+        per-lane rows and collects per-lane tap rows after each commit.
         Returns the number of cycles fully executed.
         """
         if self._detached:
@@ -473,6 +502,8 @@ class BatchRing:
             entry[2][0] if entry[0] == "l" else 0
             for entry in self._stat_plan
         ]
+        recorders = (host_in.lane_recorders(self.outs)
+                     if type(host_in) is HostWindow else ())
         executed = 0
         try:
             for _ in range(cycles):
@@ -483,6 +514,8 @@ class BatchRing:
                     cm()
                 ring.cycles += 1
                 executed += 1
+                for row, record in recorders:
+                    record(row)
         finally:
             if executed:
                 self._apply_stats(executed, local_starts)
@@ -721,6 +754,10 @@ class BatchRing:
 
                 def fetch(bus, host_in, _sw=sw, _pos=pos, _port=port,
                           _ch=channel, _cell=cell, _slot=slot, _self=self):
+                    if type(host_in) is HostWindow:
+                        # Window words were checked when queued.
+                        _cell[_slot] = host_in(_ch)
+                        return
                     if host_in is None:
                         raise SimulationError(
                             f"switch {_sw.index} routes port {_port} of "

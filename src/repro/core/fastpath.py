@@ -56,6 +56,7 @@ from repro.core.dnode import (
     _MULTIPLY_OPS,
     _OP_COST,
 )
+from repro.core.hostio import HostWindow
 from repro.core.isa import (
     ACCUMULATING_OPS,
     Dest,
@@ -91,13 +92,18 @@ class CompiledPlan:
         """Execute *cycles* fabric clocks through the compiled thunks.
 
         The caller (the ring) has already validated ``bus`` and checked
-        that this plan is current.  Returns the number of cycles fully
-        executed (== *cycles* unless an exception aborts the run).
+        that this plan is current.  A bulk
+        :class:`~repro.core.hostio.HostWindow` serves as the host reader
+        and gets its tap samples appended after each commit.  Returns the
+        number of cycles fully executed (== *cycles* unless an exception
+        aborts the run).
         """
         ring = self._ring
         evals = self._evals
         shifts = self._shifts
         commits = self._commits
+        recorders = (host_in.recorders() if type(host_in) is HostWindow
+                     else ())
         executed = 0
         try:
             for _ in range(cycles):
@@ -109,6 +115,8 @@ class CompiledPlan:
                     cm()
                 ring.cycles += 1
                 executed += 1
+                for dn, record in recorders:
+                    record(dn._out)
         finally:
             if executed:
                 for stats in self._stats:

@@ -21,7 +21,9 @@ fabric and compiles it with :func:`exec`:
   phases — the master-slave staging registers are bypassed entirely;
 * per-Dnode statistics are hoisted out of the loop and applied in closed
   form per run (pops and underflows, which depend on runtime FIFO
-  occupancy, stay inline and exact).
+  occupancy, stay inline and exact);
+* a bulk host window's words are read by cycle index and its tap
+  samples appended inline after each commit.
 
 The generated kernel advances ``periods x period`` cycles per call, so
 Python-level dispatch is paid once per macro-step.  The period is the
@@ -53,6 +55,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 from repro import word
 from repro.core.alu import SCALAR, render_expr
 from repro.core.dnode import DnodeMode, _MULTIPLY_OPS, _OP_COST
+from repro.core.hostio import HostWindow
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.switch import PortKind
 from repro.errors import SimulationError
@@ -88,8 +91,17 @@ class MacroPlan:
         return tuple(c0 for _lc, c0, _limit in self._counter_entries)
 
     def run(self, cycles: int, bus: int, host_in) -> None:
-        """Advance *cycles* fabric clocks (must be a multiple of period)."""
-        self._kernel(cycles // self.period, bus, host_in)
+        """Advance *cycles* fabric clocks (must be a multiple of period).
+
+        A bulk :class:`~repro.core.hostio.HostWindow` is read by cycle
+        index and its taps are appended after each commit; any other
+        *host_in* is called per routed port per cycle.
+        """
+        if type(host_in) is HostWindow:
+            self._kernel(cycles // self.period, bus, None, host_in.words,
+                         host_in.base, host_in.recorders())
+        else:
+            self._kernel(cycles // self.period, bus, host_in, None, 0, ())
 
 
 class _Emitter:
@@ -173,16 +185,22 @@ def compile_macro(ring: "Ring") -> Optional[MacroPlan]:
 
     out = _Emitter()
 
+    host_channels = set()
+
     def emit_host_fetch(indent, l, p, port, channel, sw_index):
         temp = f"_hv_{l}_{p}_{port}"
-        out.emit(indent, "if host_in is None:")
+        host_channels.add(channel)
+        out.emit(indent, "if _hw is not None:")
+        out.emit(indent + 1, f"{temp} = _hw_{channel}[_cy - _hb]")
+        out.emit(indent, "elif host_in is None:")
         out.emit(indent + 1, "raise _SE(")
         out.emit(indent + 2,
                  f"\"switch {sw_index} routes port {port} of position "
                  f"{p} to host channel {channel}, but no host \"")
         out.emit(indent + 2, "\"reader was supplied\"")
         out.emit(indent + 1, ")")
-        out.emit(indent,
+        out.emit(indent, "else:")
+        out.emit(indent + 1,
                  f"{temp} = _chk(host_in({channel}), "
                  f"'host channel {channel}')")
         return temp
@@ -326,11 +344,16 @@ def compile_macro(ring: "Ring") -> Optional[MacroPlan]:
 
         out.emit(indent, "_cy += 1")
         out.emit(indent, "_R.cycles = _cy")
+        out.emit(indent, "for _dr, _ap in _rec:")
+        out.emit(indent + 1, "_ap(_dr._out)")
 
     # --- kernel assembly ----------------------------------------------
-    out.emit(0, "def _kernel(periods, bus, host_in):")
+    # _hw/_hb: a bulk window's word lists and base cycle (None/0 when
+    # host_in is a per-cycle reader); _rec: its (dnode, append) taps.
+    out.emit(0, "def _kernel(periods, bus, host_in, _hw, _hb, _rec):")
     out.emit(1, "_cy = _R.cycles")
     out.emit(1, "_cy0 = _cy")
+    bind_at = len(out.lines)
     for k in range(layers):
         out.emit(1, f"_hd_{k} = _sw_{k}._head")
     out.emit(1, "try:")
@@ -341,6 +364,10 @@ def compile_macro(ring: "Ring") -> Optional[MacroPlan]:
     for k in range(layers):
         out.emit(2, f"_sw_{k}._head = _hd_{k}")
     out.emit(2, "_finish(_cy - _cy0)")
+    if host_channels:
+        # Bind each routed channel's word list once per call.
+        out.lines[bind_at:bind_at] = ["    if _hw is not None:"] + [
+            f"        _hw_{ch} = _hw[{ch}]" for ch in sorted(host_channels)]
 
     # --- hoisted statistics (closed-form, exact per completed cycle) --
     all_stats = tuple(dn.stats for dn in ring.all_dnodes())

@@ -23,8 +23,10 @@ a single NumPy array operation over all T/period executions at once:
   products are bounded by 2**30, so billions of terms fit);
 * FIFO reads/pops are schedule-determined, so the window is clipped to
   the **safe prefix** the current occupancy can serve with no underflow
-  (:meth:`NativePlan.safe_cycles`); host-port reads are pre-gathered in
-  interpreter order into per-port arrays.
+  (:meth:`NativePlan.safe_cycles`); host-port reads are sliced from a
+  bulk host window's word arrays (or pre-gathered in interpreter order
+  from a per-cycle reader), and a bulk window's tap samples are slices
+  of the tapped Dnode's ``VO`` array.
 
 The generated kernel is one pure-array function ``_core``; when Numba
 is importable (and not disabled via :func:`set_numba_enabled`) it is
@@ -58,15 +60,17 @@ the interpreter is bounded to the error cycle itself.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING, Union
 
 import numpy as np
 
 from repro import word
 from repro.core.alu import NUMPY, render_expr, signed_expr
 from repro.core.dnode import DnodeMode, _MULTIPLY_OPS, _OP_COST
+from repro.core.hostio import HostWindow
 from repro.core.isa import Dest, Flag, Opcode, Source
 from repro.core.macropath import MAX_PERIOD, MAX_UNROLL_CELLS, macro_period
+from repro.core.plancache import Ineligible
 from repro.core.switch import PortKind
 from repro.errors import SimulationError
 
@@ -194,13 +198,20 @@ class NativePlan:
         T = n * self.period
         c0 = ring.cycles
 
-        # Host gather, in the interpreter's routed-port order (layer,
-        # position, port).  ring.cycles tracks the simulated cycle so
-        # cycle-dependent host closures observe exactly what they would
-        # per-cycle; nothing is committed if a read raises.
+        # Host words: a bulk window's arrays are sliced at this window's
+        # cycle offset.  A per-cycle reader is gathered in the
+        # interpreter's routed-port order (layer, position, port), with
+        # ring.cycles tracking the simulated cycle so cycle-dependent
+        # host closures observe exactly what they would per-cycle;
+        # nothing is committed if a read raises.
         host_ports = meta["host_ports"]
+        window = host_in if type(host_in) is HostWindow else None
         hv: List[np.ndarray] = []
-        if host_ports:
+        if host_ports and window is not None:
+            off = c0 - window.base
+            hv = [window.array(ch)[off:off + T]
+                  for _l, _p, _port, ch in host_ports]
+        elif host_ports:
             if host_in is None:
                 l, p, port, ch = host_ports[0]
                 raise SimulationError(
@@ -232,12 +243,16 @@ class NativePlan:
         for i, (kind, obj, idx) in enumerate(meta["init_fill"]):
             init[i] = obj[idx] if kind == "reg" else obj._out
 
+        # VO history seed: Rp(s) of the downstream switch is the OUT
+        # visible s cycles ago, stored at VO[depth - s].
         vos: List[np.ndarray] = []
         for dn, down_sw, p in meta["vo_seed"]:
+            pipe = down_sw._pipes[p]
+            head = down_sw._head
             vo = np.empty(T + depth + 1, np.int64)
+            vo[:depth] = [pipe[(head + depth - 1 - i) % depth]
+                          for i in range(depth)]
             vo[depth] = dn._out
-            for s in range(1, depth + 1):
-                vo[depth - s] = down_sw.rp_read(s, p + 1)
             vos.append(vo)
 
         fin = np.zeros(max(1, meta["fin_count"]), np.int64)
@@ -261,10 +276,11 @@ class NativePlan:
         for i, (dn, _sw, _p) in enumerate(meta["vo_seed"]):
             dn._out = int(vos[i][depth + T])
         for sw, lane_vo in meta["pipes"]:
-            for j, vi in enumerate(lane_vo):
-                vo = vos[vi]
-                for s in range(1, depth + 1):
-                    sw.rp_write(s, j + 1, int(vo[depth + T - s]))
+            head = sw._head
+            for pipe, vi in zip(sw._pipes, lane_vo):
+                tail = vos[vi][T:T + depth].tolist()
+                for i in range(depth):
+                    pipe[(head + depth - 1 - i) % depth] = tail[i]
         for queue, pops, stats in meta["fifo_pops"]:
             total = n * pops
             for _ in range(total):
@@ -282,6 +298,13 @@ class NativePlan:
         # global clocks move.
         ring.cycles = c0 + T
         ring.native_cycles += T
+        if window is not None:
+            # Post-commit OUT after cycle t is the value visible during
+            # t + 1: the tap history is one slice of the VO array.
+            width = meta["width"]
+            for (l, p), samples in window.history.items():
+                vo = vos[l * width + p]
+                samples.extend(vo[depth + 1:depth + 1 + T].tolist())
 
 
 def compile_native(ring: "Ring") -> Optional[NativePlan]:
@@ -290,17 +313,25 @@ def compile_native(ring: "Ring") -> Optional[NativePlan]:
     Returns None when the configuration is ineligible; the caller falls
     back to the macro-step / fast-path tiers.
     """
+    plan = try_native(ring)
+    return None if type(plan) is Ineligible else plan
+
+
+def try_native(ring: "Ring") -> Union[NativePlan, Ineligible]:
+    """Like :func:`compile_native`, but an ineligible configuration
+    yields an :class:`~repro.core.plancache.Ineligible` verdict naming
+    the reason."""
     try:
         return _compile(ring)
-    except _Ineligible:
-        return None
+    except _Ineligible as exc:
+        return Ineligible("native", str(exc))
 
 
-def _compile(ring: "Ring") -> Optional[NativePlan]:
+def _compile(ring: "Ring") -> NativePlan:
     geometry = ring.geometry
     period = macro_period(ring)
     if period > MAX_PERIOD or period * geometry.dnodes > MAX_UNROLL_CELLS:
-        return None
+        raise _Ineligible("period too long to unroll")
     layers, width = geometry.layers, geometry.width
     depth = geometry.pipeline_depth
     P = period
@@ -721,6 +752,7 @@ def _compile(ring: "Ring") -> Optional[NativePlan]:
     meta = {
         "ring": ring,
         "depth": depth,
+        "width": width,
         "host_ports": host_ports,
         "fifo_reads": fifo_reads,
         "fifo_gates": fifo_gates,
@@ -738,5 +770,5 @@ def _compile(ring: "Ring") -> Optional[NativePlan]:
                       meta, max_periods)
 
 
-__all__ = ["NativePlan", "compile_native", "numba_available",
-           "set_numba_enabled", "MAX_WINDOW_CELLS"]
+__all__ = ["NativePlan", "compile_native", "try_native",
+           "numba_available", "set_numba_enabled", "MAX_WINDOW_CELLS"]

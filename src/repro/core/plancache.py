@@ -41,6 +41,25 @@ from repro.errors import ConfigurationError
 #: Default number of compiled plans a ring retains (``Ring(plan_cache=)``).
 DEFAULT_CAPACITY = 8
 
+
+class Ineligible:
+    """Cached verdict: a fused tier cannot compile this configuration.
+
+    Stored in the cache under the key the kernel would have had, so a
+    configuration that comes back re-reads the verdict instead of
+    re-running the compile up to its failure; *reason* names the refusal
+    for the ``engine_fallback_total`` metric.
+    """
+
+    __slots__ = ("tier", "reason")
+
+    def __init__(self, tier: str, reason: str):
+        self.tier = tier
+        self.reason = reason
+
+    def __repr__(self) -> str:
+        return f"Ineligible({self.tier!r}, {self.reason!r})"
+
 _MISSING = object()
 
 
@@ -169,4 +188,4 @@ class PlanCache:
         )
 
 
-__all__ = ["PlanCache", "DEFAULT_CAPACITY"]
+__all__ = ["PlanCache", "Ineligible", "DEFAULT_CAPACITY"]

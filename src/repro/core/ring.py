@@ -23,9 +23,11 @@ Each :meth:`Ring.step` models one clock:
 2. the clock edge commits register/OUT writes, shifts every switch's
    feedback pipelines, applies FIFO pops, and advances local sequencers.
 
-The shared ``bus`` value and host stream channels are supplied per cycle
-by the caller (the controller / data controller live in
-:mod:`repro.controller` and :mod:`repro.host`).
+The shared ``bus`` value and host stream channels are supplied by the
+caller (the controller / data controller live in :mod:`repro.controller`
+and :mod:`repro.host`): per cycle through a host reader, or for a whole
+:meth:`Ring.run` through a :class:`~repro.core.hostio.HostPort` whose
+windows carry stream words by cycle index and collect tap samples.
 
 Two execution engines drive the same semantics:
 
@@ -60,25 +62,50 @@ from repro import word
 from repro.core.config_memory import ConfigMemory
 from repro.core.dnode import Dnode, DnodeInputs, DnodeMode
 from repro.core.fastpath import compile_plan
+from repro.core.hostio import HostPort, HostWindow
 from repro.core.isa import FEEDBACK_DEPTH
 from repro.core.macropath import compile_macro
-from repro.core.nativepath import compile_native
-from repro.core.plancache import DEFAULT_CAPACITY, PlanCache
-from repro.core.switch import PortKind, PortSource, Switch
+from repro.core.nativepath import try_native
+from repro.core.plancache import DEFAULT_CAPACITY, Ineligible, PlanCache
+from repro.core.switch import _ROUTE_KIND_CODES, PortKind, PortSource, Switch
 from repro.errors import ConfigurationError, SimulationError
 
-#: Sentinel cached on ``Ring._macro`` when the current configuration is
-#: not eligible for macro-step fusion (period too large to unroll).
-_MACRO_INELIGIBLE = object()
+#: Shortest bulk host window that pays for macro/native code generation
+#: on a configuration's first visit.  Codegen costs about 1 ms per fused
+#: kernel, which the fused tiers win back only over a few hundred cycles;
+#: a configuration re-adopted from the plan cache is recurring, so its
+#: kernels are generated whatever the window length.
+FIRST_VISIT_CODEGEN_CYCLES = 128
 
-#: Sentinel cached on ``Ring._native`` when the current configuration is
-#: not eligible for time-vectorized execution (see
-#: :func:`repro.core.nativepath.compile_native`).
-_NATIVE_INELIGIBLE = object()
+#: Fallback reason recorded when first-visit codegen is deferred.
+DEFERRED_CODEGEN = "codegen deferred: first visit, short window"
+
+#: Route kind code of a host port in switch fingerprints.
+_HOST_ROUTE = _ROUTE_KIND_CODES[PortKind.HOST]
 
 HostReader = Callable[[int], int]
 
 RingObserver = Callable[["Ring"], None]
+
+
+class Fingerprint(tuple):
+    """A configuration fingerprint that computes its hash once.
+
+    Equal to (and hashing like) the plain tuple; the plan-cache lookups
+    of one visit to a configuration then share a single walk of the
+    nested microword structure.
+    """
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+    def __reduce__(self):
+        # Hashes are per process: never carry the cached one along.
+        return Fingerprint, (tuple(self),)
 
 
 class _CycleObserver:
@@ -143,46 +170,74 @@ class _CycleObserver:
 class RingProfile:
     """Wall-clock accounting of one :meth:`Ring.profile` session.
 
-    Separates the time spent in the two execution engines and in plan
-    compilation, so a workload's fast-path coverage (and the compile
-    overhead paid for it) is directly measurable.
+    Every engine rung gets its own cycle count and seconds: the
+    interpreter, the per-cycle fast-path plan, fused macro kernels,
+    time-vectorized native kernels and the batch lane engine.  Plan
+    compilation is booked separately, so a workload's coverage of each
+    rung (and the compile overhead paid for it) is directly measurable.
     """
+
+    #: Engine rungs, slowest first; each has ``<rung>_cycles`` and
+    #: ``<rung>_seconds`` fields.
+    RUNGS = ("interpreted", "fastpath", "macro", "native", "batch")
 
     interpreted_cycles: int = 0
     interpreted_seconds: float = 0.0
     fastpath_cycles: int = 0
     fastpath_seconds: float = 0.0
+    macro_cycles: int = 0
+    macro_seconds: float = 0.0
+    native_cycles: int = 0
+    native_seconds: float = 0.0
+    batch_cycles: int = 0
+    batch_seconds: float = 0.0
     plan_compiles: int = 0
     compile_seconds: float = 0.0
 
+    def book(self, rung: str, cycles: int, seconds: float) -> None:
+        """Add *cycles* and *seconds* to one rung's counters."""
+        cycles_field = rung + "_cycles"
+        seconds_field = rung + "_seconds"
+        setattr(self, cycles_field, getattr(self, cycles_field) + cycles)
+        setattr(self, seconds_field,
+                getattr(self, seconds_field) + seconds)
+
+    @property
+    def compiled_cycles(self) -> int:
+        """Cycles executed by any compiled rung (everything but the
+        interpreter)."""
+        return (self.fastpath_cycles + self.macro_cycles
+                + self.native_cycles + self.batch_cycles)
+
     @property
     def total_cycles(self) -> int:
-        return self.interpreted_cycles + self.fastpath_cycles
+        return self.interpreted_cycles + self.compiled_cycles
 
     @property
     def fastpath_fraction(self) -> float:
-        """Fraction of profiled cycles executed by the compiled engine."""
+        """Fraction of profiled cycles executed by a compiled engine."""
         total = self.total_cycles
-        return self.fastpath_cycles / total if total else 0.0
+        return self.compiled_cycles / total if total else 0.0
 
     def cycles_per_second(self) -> float:
         """Aggregate throughput over everything profiled (0 if untimed)."""
-        elapsed = (self.interpreted_seconds + self.fastpath_seconds
-                   + self.compile_seconds)
+        elapsed = self.compile_seconds + sum(
+            getattr(self, rung + "_seconds") for rung in self.RUNGS)
         return self.total_cycles / elapsed if elapsed > 0 else 0.0
 
     def summary(self) -> Dict[str, float]:
         """Flat dict of every counter plus the derived rates."""
-        return {
-            "interpreted_cycles": self.interpreted_cycles,
-            "interpreted_seconds": self.interpreted_seconds,
-            "fastpath_cycles": self.fastpath_cycles,
-            "fastpath_seconds": self.fastpath_seconds,
+        out: Dict[str, float] = {}
+        for rung in self.RUNGS:
+            out[rung + "_cycles"] = getattr(self, rung + "_cycles")
+            out[rung + "_seconds"] = getattr(self, rung + "_seconds")
+        out.update({
             "plan_compiles": self.plan_compiles,
             "compile_seconds": self.compile_seconds,
             "fastpath_fraction": self.fastpath_fraction,
             "cycles_per_second": self.cycles_per_second(),
-        }
+        })
+        return out
 
 
 @dataclass(frozen=True)
@@ -304,7 +359,7 @@ class Ring:
         #: Cycles executed by fused macro kernels (coverage metric).
         self.macro_cycles = 0
         # Active macro kernel for the current configuration + entry phase
-        # (None = not compiled, _MACRO_INELIGIBLE = period too large).
+        # (None = not compiled, an Ineligible verdict = cannot fuse).
         self._macro = None
         #: Native-tier lifetime counters: cycles executed by
         #: time-vectorized kernels, plans compiled, and cycles a
@@ -316,8 +371,19 @@ class Ring:
         self.native_compiles = 0
         self.native_fallback_cycles = 0
         # Active native plan for the current configuration + entry phase
-        # (None = not compiled, _NATIVE_INELIGIBLE = cannot vectorize).
+        # (None = not compiled, an Ineligible verdict = cannot vectorize).
         self._native = None
+        #: Why a fused rung was refused, by named reason: the tier's
+        #: ineligibility verdict (``"native: operand self-recurrence"``)
+        #: or :data:`DEFERRED_CODEGEN`.  Counts refused steady spans;
+        #: host-side lifetime accounting like ``native_cycles``.
+        self.engine_fallbacks: Dict[str, int] = {}
+        # True while the active plan was re-adopted through the plan
+        # cache (a recurring configuration), False on a first visit.
+        self._revisit = False
+        # Configuration-derived values, dropped on every mutation.
+        self._fingerprint: Optional[tuple] = None
+        self._host_channels: Optional[Tuple[int, ...]] = None
         self._dnodes: List[List[Dnode]] = [
             [Dnode(layer, pos) for pos in range(geometry.width)]
             for layer in range(geometry.layers)
@@ -701,47 +767,68 @@ class Ring:
         """
         word.check(bus, "bus value")
         self.last_bus = bus
+        self._advance(1, bus, host_in)
+        if self._trace is not None:
+            self._trace(self)
+
+    def _advance(self, cycles: int, bus: int, host_in) -> None:
+        """Execute *cycles* clocks on the engines, firing no observer.
+
+        The lane engine takes the whole span when active.  Otherwise the
+        span is interpreted cycle by cycle until a compiled plan is
+        adopted (from the plan cache) or compiled (after one stable
+        cycle); the rest runs on the compiled ladder — a single cycle on
+        the per-cycle plan, longer spans through :meth:`_run_steady`.
+        *host_in* is a per-cycle reader or a :class:`HostWindow`, whose
+        tap samples the interpreter records after each commit.
+        """
         if self._lane_engine_active():
             engine = self._ensure_batch()
-            engine.run(1, bus, host_in)
+            self._run_rung(engine, "batch", cycles, bus, host_in)
             engine.store_lane(0)
-            if self._trace is not None:
-                self._trace(self)
             return
-        plan = self._plan
-        if plan is None and self.fastpath_enabled:
-            plan = self._adopt_cached_plan()
-        if plan is not None:
-            self._run_plan(plan, 1, bus, host_in)
-            if self._trace is not None:
-                self._trace(self)
-            return
-        profile = self._profile
-        if profile is None:
-            self._step_interpreted(bus, host_in)
-        else:
-            began = perf_counter()
-            try:
+        recorders = (host_in.recorders() if type(host_in) is HostWindow
+                     else ())
+        while cycles > 0:
+            plan = self._plan
+            if plan is None and self.fastpath_enabled:
+                plan = self._adopt_cached_plan()
+            if plan is not None:
+                if cycles > 1:
+                    self._run_steady(plan, cycles, bus, host_in)
+                else:
+                    self._run_rung(plan, "fastpath", 1, bus, host_in)
+                return
+            profile = self._profile
+            if profile is None:
                 self._step_interpreted(bus, host_in)
-            finally:
-                profile.interpreted_seconds += perf_counter() - began
-            profile.interpreted_cycles += 1
-        self._maybe_compile()
+            else:
+                began = perf_counter()
+                try:
+                    self._step_interpreted(bus, host_in)
+                finally:
+                    profile.interpreted_seconds += perf_counter() - began
+                profile.interpreted_cycles += 1
+            for dn, record in recorders:
+                record(dn._out)
+            self._maybe_compile()
+            cycles -= 1
 
-    def _run_plan(self, plan, cycles: int, bus: int,
-                  host_in: Optional[HostReader]) -> None:
-        """Execute *cycles* through the compiled plan, timing if profiled."""
+    def _run_rung(self, engine, rung: str, cycles: int, bus: int,
+                  host_in) -> None:
+        """Execute *cycles* through one compiled engine, timing the rung
+        (a :attr:`RingProfile.RUNGS` name) if profiled."""
         profile = self._profile
         if profile is None:
-            plan.run(cycles, bus, host_in)
+            engine.run(cycles, bus, host_in)
             return
         before = self.cycles
         began = perf_counter()
         try:
-            plan.run(cycles, bus, host_in)
+            engine.run(cycles, bus, host_in)
         finally:
-            profile.fastpath_seconds += perf_counter() - began
-            profile.fastpath_cycles += self.cycles - before
+            profile.book(rung, self.cycles - before,
+                         perf_counter() - began)
 
     def _step_interpreted(self, bus: int,
                           host_in: Optional[HostReader]) -> None:
@@ -779,8 +866,6 @@ class Ring:
         for k in range(geometry.layers):
             self._switches[k].shift(visible_outs[self.upstream_layer(k)])
         self.cycles += 1
-        if self._trace is not None:
-            self._trace(self)
 
     def _invalidate_fastpath(self) -> None:
         """Configuration mutated: drop the compiled plan, defer recompile.
@@ -798,6 +883,8 @@ class Ring:
             self.plan_invalidations += 1
         self._macro = None
         self._native = None
+        self._fingerprint = None
+        self._host_channels = None
         self._config_dirty = True
         for listener in self._invalidation_listeners:
             listener()
@@ -808,14 +895,17 @@ class Ring:
         Concatenates every Dnode's fingerprint (mode + executable
         microwords, layer-major order) with every switch's routing
         fingerprint.  Each component caches its own tuple and drops it on
-        mutation, so this is O(components) tuple packing per call with no
-        re-hashing of unchanged parts.
+        mutation, and the whole digest is cached until the next
+        configuration mutation, so repeated lookups cost nothing.
         """
-        return (
-            tuple(dn.config_fingerprint()
-                  for layer in self._dnodes for dn in layer),
-            tuple(sw.config.fingerprint() for sw in self._switches),
-        )
+        fingerprint = self._fingerprint
+        if fingerprint is None:
+            fingerprint = self._fingerprint = Fingerprint((
+                tuple(dn.config_fingerprint()
+                      for layer in self._dnodes for dn in layer),
+                tuple(sw.config.fingerprint() for sw in self._switches),
+            ))
+        return fingerprint
 
     def _adopt_cached_plan(self):
         """Plan-cache lookup for the current configuration.
@@ -827,7 +917,8 @@ class Ring:
         of a multiplexing working set and is compiled eagerly; a
         first-time fingerprint keeps the legacy deferred policy (so a
         never-repeating per-cycle reconfiguration stream still compiles
-        nothing).
+        nothing).  Either way the configuration is recurring, which
+        lifts the first-visit deferral of macro/native codegen.
         """
         cache = self.plan_cache
         if not cache.capacity:
@@ -840,6 +931,7 @@ class Ring:
         if plan is not None:
             self._plan = plan
             self._config_dirty = False
+            self._revisit = True
         return plan
 
     def adopt_cached_plan(self) -> bool:
@@ -878,23 +970,28 @@ class Ring:
         elif self.fastpath_enabled and self._plan is None:
             plan = self._compile_plan_timed()
             self._plan = plan
+            self._revisit = False
             cache = self.plan_cache
             if cache.capacity:
                 cache.put(("plan", self.config_fingerprint()), plan)
 
-    def _ensure_macro(self):
-        """The macro kernel for the current configuration + entry phase.
+    def _ensure_fused(self, tier: str, codegen: bool):
+        """The *tier* (``"macro"``/``"native"``) kernel for the current
+        configuration + entry phase, or None when the rung is refused.
 
-        Returns None when fusion is unavailable (ineligible period).
-        Kernels are cached in :attr:`plan_cache` keyed by fingerprint
-        *and* entry phase, so re-entering a known phase of a known
-        configuration skips codegen entirely.
+        Kernels are cached in :attr:`plan_cache` keyed by tier, entry
+        phase *and* fingerprint, so re-entering a known phase of a known
+        configuration skips codegen entirely.  A failed compile is cached
+        the same way, as an :class:`~repro.core.plancache.Ineligible`
+        verdict naming the reason, so plane switching never re-runs a
+        doomed compile.  With *codegen* False (a short first-visit bulk
+        window) a cache miss refuses the rung without compiling.
         """
-        macro = self._macro
-        if macro is _MACRO_INELIGIBLE:
-            return None
-        if macro is not None and macro.matches_phase():
-            return macro
+        attr = "_" + tier
+        kernel = getattr(self, attr)
+        if kernel is not None and (type(kernel) is Ineligible
+                                   or kernel.matches_phase()):
+            return self._verdict(kernel)
         cache = self.plan_cache
         key = None
         if cache.capacity:
@@ -902,58 +999,38 @@ class Ring:
                 dn.local._counter for layer in self._dnodes
                 for dn in layer if dn.mode is DnodeMode.LOCAL
             )
-            key = ("macro", phase, self.config_fingerprint())
-            macro = cache.get(key)
-            if macro is not None:
-                self._macro = macro
-                return macro
-        macro = compile_macro(self)
-        if macro is None:
-            self._macro = _MACRO_INELIGIBLE
+            key = (tier, phase, self.config_fingerprint())
+            kernel = cache.get(key)
+            if kernel is not None:
+                setattr(self, attr, kernel)
+                return self._verdict(kernel)
+        if not codegen:
+            self._note_fallback(DEFERRED_CODEGEN)
             return None
-        self._macro = macro
+        if tier == "native":
+            kernel = try_native(self)
+        else:
+            kernel = (compile_macro(self)
+                      or Ineligible("macro", "period too long to unroll"))
+        if tier == "native" and type(kernel) is not Ineligible:
+            self.native_compiles += 1
+        setattr(self, attr, kernel)
         if key is not None:
-            cache.put(key, macro)
-        return macro
+            cache.put(key, kernel)
+        return self._verdict(kernel)
 
-    def _ensure_native(self):
-        """The native plan for the current configuration + entry phase.
-
-        Returns None when time-vectorization is unavailable (ineligible
-        configuration).  Plans are cached in :attr:`plan_cache` keyed by
-        fingerprint *and* entry phase, exactly like macro kernels, so a
-        restore or reconfiguration back to a known state re-adopts the
-        compiled kernel with zero codegen.
-        """
-        native = self._native
-        if native is _NATIVE_INELIGIBLE:
+    def _verdict(self, kernel):
+        """*kernel*, or None (with the reason counted) for a verdict."""
+        if type(kernel) is Ineligible:
+            self._note_fallback(f"{kernel.tier}: {kernel.reason}")
             return None
-        if native is not None and native.matches_phase():
-            return native
-        cache = self.plan_cache
-        key = None
-        if cache.capacity:
-            phase = tuple(
-                dn.local._counter for layer in self._dnodes
-                for dn in layer if dn.mode is DnodeMode.LOCAL
-            )
-            key = ("native", phase, self.config_fingerprint())
-            native = cache.get(key)
-            if native is not None:
-                self._native = native
-                return native
-        native = compile_native(self)
-        if native is None:
-            self._native = _NATIVE_INELIGIBLE
-            return None
-        self.native_compiles += 1
-        self._native = native
-        if key is not None:
-            cache.put(key, native)
-        return native
+        return kernel
 
-    def _run_steady(self, plan, cycles: int, bus: int,
-                    host_in: Optional[HostReader]) -> None:
+    def _note_fallback(self, reason: str) -> None:
+        self.engine_fallbacks[reason] = (
+            self.engine_fallbacks.get(reason, 0) + 1)
+
+    def _run_steady(self, plan, cycles: int, bus: int, host_in) -> None:
         """Run *cycles* on the compiled engines: native, macro, per-cycle.
 
         With ``backend="native"``, the longest FIFO-safe period-multiple
@@ -965,13 +1042,20 @@ class Ring:
         period-multiples through the fused kernel; the sub-period
         remainder (and everything, when fusion is off or ineligible)
         goes through the per-cycle plan.
+
+        A bulk host window on a configuration's first visit generates no
+        new fused kernel unless it spans
+        :data:`FIRST_VISIT_CODEGEN_CYCLES`; once the configuration comes
+        back through the plan cache, codegen proceeds.
         """
+        codegen = (type(host_in) is not HostWindow or self._revisit
+                   or cycles >= FIRST_VISIT_CODEGEN_CYCLES)
         k = self.macro_step
         if self.backend == "native":
-            native = self._ensure_native()
+            native = self._ensure_fused("native", codegen)
             safe = native.safe_cycles(cycles) if native is not None else 0
             if safe:
-                self._run_plan(native, safe, bus, host_in)
+                self._run_rung(native, "native", safe, bus, host_in)
                 cycles -= safe
             if cycles:
                 self.native_fallback_cycles += cycles
@@ -979,83 +1063,84 @@ class Ring:
                 # never asked for macro-stepping explicitly.
                 k = max(k, 2)
         if k > 1 and cycles >= k:
-            macro = self._ensure_macro()
+            macro = self._ensure_fused("macro", codegen)
             if macro is not None and cycles >= max(k, macro.period):
                 fused = cycles - cycles % macro.period
                 if fused:
-                    self._run_plan(macro, fused, bus, host_in)
+                    self._run_rung(macro, "macro", fused, bus, host_in)
                     cycles -= fused
         if cycles:
-            self._run_plan(plan, cycles, bus, host_in)
+            self._run_rung(plan, "fastpath", cycles, bus, host_in)
 
-    def run(self, cycles: int, bus: int = 0,
-            host_in: Optional[HostReader] = None) -> None:
+    def run(self, cycles: int, bus: int = 0, host_in=None) -> None:
         """Step the fabric *cycles* times with constant bus/host context.
 
         In steady state (no observer, valid plan) the whole batch executes
-        inside the compiled fast path with no per-cycle dispatch.  With
-        only *sampled* observers installed (a capture interval or cycle
-        window), the batch is chunk-run on the same compiled plan between
-        capture points, so tracing no longer forces per-cycle interpreted
-        dispatch; only an every-cycle observer does.
+        inside the compiled engines with no per-cycle dispatch.  With
+        observers installed, the batch is chunk-run between capture
+        points and each due observer fires after its cycle, so only an
+        every-cycle observer forces per-cycle chunks.
+
+        *host_in* is either a per-cycle reader (called as
+        ``host_in(channel)``) or a :class:`~repro.core.hostio.HostPort`
+        such as an uncontrolled :class:`~repro.host.system.RingSystem`.
+        A port streams each observer-free chunk as one
+        :class:`~repro.core.hostio.HostWindow` — stream words consumed by
+        cycle index, tap samples as OUT histories — and performs the
+        chunk's last clock edge after that cycle's observers, where
+        per-cycle stepping performs it.
         """
         if cycles < 0:
             raise SimulationError(f"cycle count must be >= 0, got {cycles}")
         word.check(bus, "bus value")
         if self._lane_engine_active():
-            self._run_batch(cycles, bus, host_in)
-            return
+            # Engage the lane engine even for an empty run, so lane
+            # state exists from here on (snapshots capture it).
+            self._ensure_batch()
+        port = host_in if isinstance(host_in, HostPort) else None
         remaining = cycles
         while remaining > 0:
-            plan = self._plan
-            if plan is not None:
-                trace = self._trace
-                if trace is None:
-                    self.last_bus = bus
-                    self._run_steady(plan, remaining, bus, host_in)
-                    return
-                stride = self._trace_stride()
-                if stride is None:
-                    # Every observer's window is exhausted: free-run.
-                    self.last_bus = bus
-                    self._run_steady(plan, remaining, bus, host_in)
-                    return
-                if stride > 1:
-                    chunk = min(stride, remaining)
-                    self.last_bus = bus
-                    self._run_steady(plan, chunk, bus, host_in)
-                    remaining -= chunk
-                    if chunk == stride:
-                        trace(self)
-                    continue
-            self.step(bus=bus, host_in=host_in)
-            remaining -= 1
-
-    def _run_batch(self, cycles: int, bus: int,
-                   host_in: Optional[HostReader]) -> None:
-        """Batch run loop: chunk between observer capture points.
-
-        Lane 0 is written back to the scalar structures before every
-        observer dispatch (and at the end of the run), so traces,
-        metrics and taps see exactly what they would on a scalar
-        engine.
-        """
-        engine = self._ensure_batch()
-        remaining = cycles
-        while remaining > 0:
-            trace = self._trace
             chunk = remaining
+            trace = self._trace
             fire = False
             if trace is not None:
                 stride = self._trace_stride()
                 if stride is not None:
                     chunk = min(stride, remaining)
                     fire = chunk == stride
-            engine.run(chunk, bus, host_in)
+            self.last_bus = bus
+            if port is None:
+                self._advance(chunk, bus, host_in)
+            else:
+                self._advance_hosted(port, chunk, bus)
             remaining -= chunk
-            engine.store_lane(0)
             if fire:
                 trace(self)
+            if port is not None:
+                port.clock_edge(self)
+
+    def _advance_hosted(self, port: HostPort, cycles: int, bus: int) -> None:
+        """One observer-free chunk with its host I/O moved in bulk."""
+        window = port.open_window(self, cycles)
+        try:
+            self._advance(cycles, bus, window)
+        except BaseException:
+            port.close_window(window, self.cycles - window.base)
+            raise
+        port.close_window(window, cycles - 1)
+
+    def host_channels(self) -> Tuple[int, ...]:
+        """Host channels the current routing reads (each, every cycle);
+        cached until the next configuration mutation."""
+        channels = self._host_channels
+        if channels is None:
+            # Switch fingerprints list every non-zero route as
+            # (position, port, kind code, index, lane).
+            channels = self._host_channels = tuple(sorted({
+                index for routes in self.config_fingerprint()[1]
+                for _pos, _port, kind, index, _lane in routes
+                if kind == _HOST_ROUTE}))
+        return channels
 
     def reset(self) -> None:
         """Datapath reset: registers, pipelines, FIFOs, counters.
@@ -1072,20 +1157,20 @@ class Ring:
         * **Cleared** — everything that describes the *run*: ``cycles``,
           per-Dnode :class:`~repro.core.dnode.DnodeStats`, local-sequencer
           counters, ``fifo_underflows``, ``fifo_high_water``,
-          ``last_bus``, and the batch engine's per-lane state (the engine
-          is detached and lazily rebuilt from the cleared scalar state).
+          ``last_bus``, and the batch engine's per-lane state (cleared in
+          place, so its compiled lane kernels stay valid).
         * **Preserved** — everything that describes the *machine and its
           host*: the configuration and its write counters
           (``config.writes``, per-switch ``config.writes``),
           ``plan_compiles`` / ``plan_invalidations`` / ``macro_cycles``
           / ``native_cycles`` / ``native_compiles`` /
-          ``native_fallback_cycles``,
+          ``native_fallback_cycles`` / ``engine_fallbacks``,
           the plan cache (contents *and* hit/miss/eviction statistics),
           the robustness counters (``faults_injected``, ``checkpoints``,
           ``rollbacks``, ``recovery_cycles``) — and the active compiled
-          plan: it closes over the stable state containers just cleared
-          in place and the configuration is untouched, so the next step
-          resumes on the fast path without recompiling.
+          plan (scalar or lane): it closes over the stable state
+          containers just cleared in place and the configuration is
+          untouched, so the next step resumes without recompiling.
         """
         for dn in self.all_dnodes():
             dn.reset()
@@ -1098,10 +1183,7 @@ class Ring:
         self.fifo_high_water.clear()
         self.last_bus = 0
         if self._batch_engine is not None:
-            # Drop the lane state entirely: the next batch run rebuilds
-            # it by broadcasting the (now cleared) scalar datapath.
-            self._batch_engine.detach()
-            self._batch_engine = None
+            self._batch_engine.reset_lanes()
 
     # ------------------------------------------------------------------
     # Statistics

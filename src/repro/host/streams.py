@@ -19,17 +19,53 @@ serves B independent streams at once: construct the controller with
 :class:`BatchOutputTap` instead — per-lane queues, per-lane underrun
 accounting, per-lane sample streams — while keeping the exact same
 per-cycle protocol (``current``/``advance``/``observe``).
+
+Every channel and tap also has a bulk form of that protocol
+(``window``/``consume``/``absorb``): the controller hands whole windows
+of words to :meth:`Ring.run <repro.core.ring.Ring.run>` and folds the
+engine's OUT histories back into the taps, ending in the state the
+per-cycle protocol would reach (see :mod:`repro.core.hostio`).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Deque, Dict, Iterable, List, Optional
 
 import numpy as np
 
 from repro import word
+from repro.core.batchpath import LANE_DTYPE
+from repro.core.hostio import HostWindow, tap_selection
 from repro.errors import HostError
+
+
+def _clock_queue(queue: Deque[int], cycles: int, edges: int, read: bool,
+                 latched: bool):
+    """Bulk clock of one stream queue over *cycles* executed cycles.
+
+    Equivalent to *cycles* rounds of a read (when the fabric *read* the
+    channel) and a clock edge, the last edge left pending when
+    ``edges < cycles``: every read of a dry cycle is one underrun, unless
+    a read before the window already *latched* that cycle's underrun.
+    Pops the consumed words; returns ``(delivered, underruns, latch)``.
+    """
+    avail = len(queue)
+    dry = cycles - avail if read and cycles > avail else 0
+    if dry and latched and not avail:
+        dry -= 1
+    taken = min(edges, avail)
+    if taken == avail:
+        queue.clear()
+    else:
+        for _ in range(taken):
+            queue.popleft()
+    if edges:
+        latched = False
+    if edges < cycles and read and cycles > avail:
+        latched = True
+    return taken, dry, latched
 
 
 class StreamChannel:
@@ -79,6 +115,23 @@ class StreamChannel:
         if self._queue:
             self._queue.popleft()
             self.delivered += 1
+
+    def window(self, cycles: int) -> List[int]:
+        """The words presented over the next *cycles* cycles: the queued
+        words, then the idle value once the stream runs dry."""
+        words = list(islice(self._queue, cycles))
+        if len(words) < cycles:
+            words.extend([self.idle_value] * (cycles - len(words)))
+        return words
+
+    def consume(self, cycles: int, edges: int, read: bool) -> None:
+        """Bulk clock: *cycles* cycles ran, the first *edges* of them
+        clocked (``edges`` is *cycles* or one less) — see
+        :func:`_clock_queue`."""
+        taken, dry, self._dry_seen = _clock_queue(
+            self._queue, cycles, edges, read, self._dry_seen)
+        self.delivered += taken
+        self.underruns += dry
 
     def drop_next(self) -> int:
         """Fault model: silently lose the next queued word.
@@ -170,6 +223,24 @@ class BatchStreamChannel:
                 queue.popleft()
                 self.delivered[lane] += 1
 
+    def window(self, cycles: int) -> np.ndarray:
+        """The ``(cycles, lanes)`` words presented over the next *cycles*
+        cycles (each lane's queued words, then the idle value)."""
+        words = np.full((cycles, self.batch), self.idle_value,
+                        dtype=LANE_DTYPE)
+        for lane, queue in enumerate(self._queues):
+            head = list(islice(queue, cycles))
+            words[:len(head), lane] = head
+        return words
+
+    def consume(self, cycles: int, edges: int, read: bool) -> None:
+        """Bulk clock of every lane (see :meth:`StreamChannel.consume`)."""
+        for lane, queue in enumerate(self._queues):
+            taken, dry, self._dry_seen[lane] = _clock_queue(
+                queue, cycles, edges, read, self._dry_seen[lane])
+            self.delivered[lane] += taken
+            self.underruns[lane] += dry
+
     def drop_next(self) -> int:
         """Fault model: silently lose the next word on every lane.
 
@@ -240,6 +311,16 @@ class OutputTap:
             return
         self.samples.append(value)
 
+    def absorb(self, values: List[int]) -> None:
+        """:meth:`observe` each of *values* (consecutive cycles) in bulk."""
+        seen = self._seen
+        self._seen = seen + len(values)
+        kept = values[tap_selection(seen, len(values), self.skip,
+                                    self.every)]
+        if self.limit is not None:
+            kept = kept[:max(0, self.limit - len(self.samples))]
+        self.samples.extend(kept)
+
     @property
     def full(self) -> bool:
         """True once *limit* samples are collected."""
@@ -297,6 +378,17 @@ class BatchOutputTap:
         for lane, value in enumerate(values):
             self.samples[lane].append(int(value))
 
+    def absorb(self, rows: List[np.ndarray]) -> None:
+        """:meth:`observe` each per-lane row of *rows* in bulk."""
+        seen = self._seen
+        self._seen = seen + len(rows)
+        kept = rows[tap_selection(seen, len(rows), self.skip, self.every)]
+        if self.limit is not None:
+            kept = kept[:max(0, self.limit - len(self.samples[0]))]
+        if kept:
+            for lane, column in enumerate(np.stack(kept).T.tolist()):
+                self.samples[lane].extend(column)
+
     def lane(self, lane: int) -> List[int]:
         """One lane's collected sample stream (a copy)."""
         return list(self.samples[lane])
@@ -319,12 +411,24 @@ class BatchOutputTap:
 
 
 class DataController:
-    """Bank of stream channels and output taps driven once per cycle.
+    """Bank of stream channels and output taps.
+
+    Two protocols drive it.  Per cycle (:meth:`host_in`, :meth:`collect`,
+    :meth:`advance`) it serves :meth:`RingSystem.step
+    <repro.host.system.RingSystem.step>`, the reference.  In bulk
+    (:meth:`open_window`, :meth:`close_window`) it backs the
+    :class:`~repro.core.hostio.HostPort` an uncontrolled
+    :meth:`RingSystem.run <repro.host.system.RingSystem.run>` hands to
+    :meth:`Ring.run <repro.core.ring.Ring.run>`: each observer-free span
+    of cycles gets its stream words as arrays consumed by cycle index and
+    returns its tap samples as OUT histories — with queues, ``delivered``,
+    ``underruns`` and tap samples ending exactly where per-cycle stepping
+    leaves them.
 
     With ``batch > 1`` (the ring's batch backend) every channel is a
     :class:`BatchStreamChannel` and every tap a :class:`BatchOutputTap`;
-    the per-cycle protocol is unchanged — ``host_in`` simply presents a
-    per-lane word array and taps collect one stream per lane.
+    both protocols are unchanged — words are per-lane arrays and taps
+    collect one stream per lane.
     """
 
     def __init__(self, batch: int = 1):
@@ -375,41 +479,29 @@ class DataController:
         """Resolver handed to :meth:`repro.core.ring.Ring.step`."""
         return self.channel(index).current()
 
-    def bulk_host_in(self, ring):
-        """A resolver for whole :meth:`repro.core.ring.Ring.run` chunks.
+    def open_window(self, ring, cycles: int) -> HostWindow:
+        """Stream words and tap points of the next *cycles* cycles.
 
-        Per-cycle servicing resets each channel's dry-latch at every
-        clock edge (:meth:`advance`), so a routed dry channel counts one
-        underrun per cycle.  A bulk chunk never calls ``advance`` — this
-        wrapper watches ``ring.cycles`` instead and clears the latches
-        whenever the fabric moves to a new cycle, reproducing the
-        per-cycle underrun accounting bit for bit.
+        Every channel the routing reads is created on demand, as its
+        first per-cycle read would.
         """
-        last = [ring.cycles]
+        words = {index: self.channel(index).window(cycles)
+                 for index in ring.host_channels()}
+        taps = {}
+        for tap in self.taps:
+            ring.dnode(tap.layer, tap.position)  # validates the address
+            taps[(tap.layer, tap.position)] = None
+        return HostWindow(ring, words, tuple(taps), lanes=self.batch > 1)
 
-        def host_in(index: int) -> int:
-            if ring.cycles != last[0]:
-                last[0] = ring.cycles
-                for ch in self._channels.values():
-                    if isinstance(ch, BatchStreamChannel):
-                        ch._dry_seen = [False] * ch.batch
-                    else:
-                        ch._dry_seen = False
-            return self.host_in(index)
-
-        return host_in
-
-    @property
-    def idle(self) -> bool:
-        """True when per-cycle servicing would be a no-op.
-
-        No taps to sample and no queued stream words to advance — empty
-        channels still present their idle value (and count underruns)
-        through :meth:`host_in`, which needs no per-cycle bookkeeping.
-        """
-        return not self.taps and not any(
-            ch.pending() for ch in self._channels.values()
-        )
+    def close_window(self, window: HostWindow, edges: int) -> None:
+        """Account a finished span: the reads of every executed cycle,
+        the clock edges (stream advance, tap sample) of the first
+        *edges*."""
+        cycles = window.ring.cycles - window.base
+        for index, ch in self._channels.items():
+            ch.consume(cycles, edges, index in window.words)
+        for tap in self.taps:
+            tap.absorb(window.history[(tap.layer, tap.position)][:edges])
 
     def advance(self) -> None:
         """Clock edge: every channel moves to its next word."""

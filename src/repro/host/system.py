@@ -15,7 +15,10 @@ clock of the whole accelerator:
 
 A system can also run *uncontrolled* (controller=None) when the fabric is
 fully configured up front and left in local mode — the stand-alone
-operating point the paper's multi-level reconfiguration enables.
+operating point the paper's multi-level reconfiguration enables.  There
+the direct ports' token rates are static, so :meth:`RingSystem.run`
+moves host I/O in whole windows (:mod:`repro.core.hostio`) and
+:meth:`RingSystem.step` stays the per-cycle reference twin.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.config_memory import ConfigPlane
+from repro.core.hostio import HostPort
 from repro.core.ring import Ring
 from repro.controller.core import (
     ConfigCommand,
@@ -33,7 +37,7 @@ from repro.host.streams import DataController
 from repro.errors import SimulationError
 
 
-class RingSystem:
+class RingSystem(HostPort):
     """A complete Systolic Ring accelerator instance."""
 
     def __init__(self, ring: Ring,
@@ -74,27 +78,41 @@ class RingSystem:
         self.cycles += 1
 
     def run(self, cycles: int) -> None:
-        """Step *cycles* times.
+        """Advance the whole accelerator *cycles* clock cycles.
 
-        An uncontrolled system with an idle data controller (no taps, no
-        queued stream words) needs no per-cycle host servicing, so the whole
-        batch is handed to :meth:`repro.core.ring.Ring.run` — which lets the
-        ring's pre-decoded fast path (and the macro-step/native bulk
-        engines) execute without re-entering the host layer every cycle.
-        Idleness is re-checked as the run progresses: once the queued
-        stream words drain mid-run, the remaining cycles take the bulk
-        path too.
+        An uncontrolled system hands the whole window to
+        :meth:`repro.core.ring.Ring.run` with itself as the host port
+        (the data controller's windows, counted on the system clock):
+        stream words go in as arrays consumed by cycle index
+        and tap samples come back as OUT histories, so the compiled
+        engines (fast path, macro-step, native, batch) run end to end
+        without re-entering the host layer every cycle.  Observers split
+        the window at their capture points, where the host queues and tap
+        samples are exactly as per-cycle stepping leaves them.  With a
+        controller attached every cycle needs its instruction, so the run
+        steps per cycle.
         """
         if cycles < 0:
             raise SimulationError(f"cycle count must be >= 0, got {cycles}")
-        for done in range(cycles):
-            if self.controller is None and self.data.idle:
-                remaining = cycles - done
-                self.ring.run(remaining,
-                              host_in=self.data.bulk_host_in(self.ring))
-                self.cycles += remaining
-                return
-            self.step()
+        if self.controller is not None:
+            for _ in range(cycles):
+                self.step()
+            return
+        self.ring.run(cycles, host_in=self)
+
+    # -- HostPort: the data controller's windows on the system clock ----
+
+    def open_window(self, ring, cycles: int):
+        return self.data.open_window(ring, cycles)
+
+    def close_window(self, window, edges: int) -> None:
+        self.data.close_window(window, edges)
+        self.cycles += edges
+
+    def clock_edge(self, ring) -> None:
+        self.data.collect(ring)
+        self.data.advance()
+        self.cycles += 1
 
     def checkpoint(self):
         """Capture a whole-system checkpoint (fabric + host streams).

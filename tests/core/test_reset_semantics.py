@@ -54,14 +54,31 @@ class TestCleared:
         ring.push_fifo(1, 0, 1, [9])
         assert list(handle) == [9]  # same live deque, still wired
 
-    def test_batch_engine_detaches(self):
+    def test_batch_lane_state_clears_in_place(self):
         ring = run_hard(make_busy_ring(backend="batch", batch_size=4))
-        assert ring._batch_engine is not None
+        engine = ring._batch_engine
+        assert engine is not None
         ring.reset()
-        assert ring._batch_engine is None
+        # Same engine, every lane back to what a fresh engine over the
+        # cleared scalar state holds.
+        assert ring._batch_engine is engine
+        twin = make_busy_ring(backend="batch", batch_size=4)
+        twin.reset()
+        assert engine.capture_lanes() == twin.batch.capture_lanes()
 
 
 class TestPreserved:
+    def test_batch_reset_keeps_lane_kernels(self):
+        ring = run_hard(make_busy_ring(backend="batch", batch_size=4))
+        compiles = ring.plan_compiles
+        ring.reset()
+        run_hard(ring)
+        assert ring.plan_compiles == compiles
+        fresh = make_busy_ring(backend="batch", batch_size=4)
+        fresh.reset()
+        run_hard(fresh)
+        assert ring.batch.capture_lanes() == fresh.batch.capture_lanes()
+
     def test_configuration_and_write_counters(self):
         ring = make_busy_ring()
         writes = ring.config.writes

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.metrics import MetricsRegistry
 from repro.core.ring import Ring
 from tests.kernels.conftest import ENGINES
 from repro.kernels import reference
@@ -64,13 +65,18 @@ class TestSynthVoicePipeline:
         assert result.switches == 2 * (len(ENVELOPE) // chunk)
 
     def test_per_cycle_identical_to_bulk(self):
-        bulk = run_synth_voice(ENVELOPE, FCW_A, FCW_B, ECHO_GAIN,
-                               chunk=24)
-        stepped = run_synth_voice(ENVELOPE, FCW_A, FCW_B, ECHO_GAIN,
-                                  chunk=24, per_cycle=True)
-        assert stepped.outputs == bulk.outputs
-        assert stepped.stage_outputs == bulk.stage_outputs
-        assert stepped.cycles == bulk.cycles
+        for name, kwargs in sorted(ENGINES.items()):
+            rings = [make_ring(SYNTH_GEOMETRY, kwargs) for _ in range(2)]
+            bulk = run_synth_voice(ENVELOPE, FCW_A, FCW_B, ECHO_GAIN,
+                                   chunk=24, ring=rings[0])
+            stepped = run_synth_voice(ENVELOPE, FCW_A, FCW_B, ECHO_GAIN,
+                                      chunk=24, ring=rings[1],
+                                      per_cycle=True)
+            assert stepped.outputs == bulk.outputs == SYNTH_GOLDEN, name
+            assert stepped.stage_outputs == bulk.stage_outputs, name
+            assert stepped.cycles == bulk.cycles, name
+            assert stepped.switches == bulk.switches, name
+            assert fabric_state(rings[1]) == fabric_state(rings[0]), name
 
 
 class TestEffectsChainPipeline:
@@ -89,12 +95,18 @@ class TestEffectsChainPipeline:
         assert result.outputs == EFFECTS_GOLDEN
 
     def test_per_cycle_identical_to_bulk(self):
-        bulk = run_effects_chain(SIGNAL, MASTER_GAIN, ECHO_GAIN,
-                                 chunk=32)
-        stepped = run_effects_chain(SIGNAL, MASTER_GAIN, ECHO_GAIN,
-                                    chunk=32, per_cycle=True)
-        assert stepped.outputs == bulk.outputs
-        assert stepped.cycles == bulk.cycles
+        for name, kwargs in sorted(ENGINES.items()):
+            rings = [make_ring(EFFECTS_GEOMETRY, kwargs) for _ in range(2)]
+            bulk = run_effects_chain(SIGNAL, MASTER_GAIN, ECHO_GAIN,
+                                     chunk=32, ring=rings[0])
+            stepped = run_effects_chain(SIGNAL, MASTER_GAIN, ECHO_GAIN,
+                                        chunk=32, ring=rings[1],
+                                        per_cycle=True)
+            assert stepped.outputs == bulk.outputs == EFFECTS_GOLDEN, name
+            assert stepped.stage_outputs == bulk.stage_outputs, name
+            assert stepped.cycles == bulk.cycles, name
+            assert stepped.switches == bulk.switches, name
+            assert fabric_state(rings[1]) == fabric_state(rings[0]), name
 
 
 class TestReconfigurationChurn:
@@ -124,11 +136,56 @@ class TestReconfigurationChurn:
         # Warm both planes (first A/B round compiles them).
         run_synth_voice(ENVELOPE[:32], FCW_A, FCW_B, ECHO_GAIN,
                         chunk=32, ring=ring)
+        ring.reset()
         with ring.profile() as prof:
             run_synth_voice(ENVELOPE, FCW_A, FCW_B, ECHO_GAIN,
                             chunk=32, ring=ring)
         assert prof.interpreted_cycles == 0
         assert prof.plan_compiles == 0
+
+    def test_ineligible_verdicts_are_cached(self, monkeypatch):
+        """Plane switching never re-runs a compile that failed before:
+        after the first A/B rounds, compile attempts stay flat."""
+        import repro.core.ring as ring_module
+        attempts = []
+        for name in ("try_native", "compile_macro"):
+            real = getattr(ring_module, name)
+            monkeypatch.setattr(
+                ring_module, name,
+                lambda ring, _real=real, _name=name: (
+                    attempts.append(_name), _real(ring))[1])
+        ring = Ring(SYNTH_GEOMETRY, backend="native")
+        run_synth_voice(ENVELOPE[:32], FCW_A, FCW_B, ECHO_GAIN,
+                        chunk=16, ring=ring)
+        warm = len(attempts)
+        assert warm == 4      # native + macro, per plane
+        ring.reset()
+        result = run_synth_voice(ENVELOPE, FCW_A, FCW_B, ECHO_GAIN,
+                                 chunk=16, ring=ring)
+        assert result.outputs == SYNTH_GOLDEN
+        assert len(attempts) == warm
+        assert ring.macro_cycles > 0
+        metrics = MetricsRegistry.of(ring).collect()
+        for reason in ("native: operand self-recurrence",
+                       "native: cross-Dnode dependence cycle"):
+            assert metrics.value("engine_fallback_total", reason=reason)
+
+    def test_profile_books_each_rung(self):
+        ring = Ring(SYNTH_GEOMETRY, backend="native")
+        run_synth_voice(ENVELOPE[:32], FCW_A, FCW_B, ECHO_GAIN,
+                        chunk=16, ring=ring)
+        ring.reset()
+        with ring.profile() as prof:
+            run_synth_voice(ENVELOPE, FCW_A, FCW_B, ECHO_GAIN,
+                            chunk=32, ring=ring)
+        assert prof.macro_cycles > 0 and prof.macro_seconds > 0
+        assert prof.native_cycles == prof.batch_cycles == 0
+        assert prof.total_cycles == len(ENVELOPE) * 2
+        assert prof.fastpath_fraction == 1.0
+        summary = prof.summary()
+        for rung in prof.RUNGS:
+            assert summary[rung + "_cycles"] == getattr(
+                prof, rung + "_cycles")
 
     def test_aba_stream_matches_unchunked_golden(self):
         # The A/B/A pattern with the smallest legal chunk is the

@@ -5,8 +5,10 @@ a Ring-64 run back onto the per-cycle interpreter: :meth:`Ring.run`
 chunk-runs the compiled plan between capture points.  This benchmark
 measures Ring-64 steady-state throughput in four operating points —
 interpreter, untraced fast path, every-cycle trace, and an interval-64
-sampled trace — asserts the acceptance target (a sampled trace still
-beats the bare interpreter by at least 5x), exercises the tier-3
+sampled trace, the compiled points on rings pinned to the per-cycle plan
+(:class:`tests.rungs.PinnedRing`) — asserts the acceptance target (a
+sampled trace still beats the bare interpreter by at least 5x),
+exercises the tier-3
 :meth:`Ring.profile` accounting, and records everything in
 ``BENCH_observability.json`` so CI archives a perf data point per PR.
 
@@ -24,6 +26,7 @@ from benchmarks.test_steady_state_throughput import _configure
 from repro.analysis import render_table
 from repro.analysis.trace import Probe, SignalTrace
 from repro.core.ring import Ring, RingGeometry
+from tests.rungs import make_ring
 
 #: Acceptance floor: an interval-64 sampled trace on Ring-64 must keep at
 #: least this multiple of the bare interpreter's throughput.
@@ -37,8 +40,11 @@ _PROBES = [Probe.out(0, 0), Probe.out(16, 1), Probe.reg(8, 0, 0),
            Probe.bus()]
 
 
-def _ring64(fastpath: bool = True) -> Ring:
-    ring = Ring(RingGeometry.ring(64), fastpath=fastpath)
+def _ring64(**kwargs) -> Ring:
+    """A configured Ring-64, pinned to the per-cycle plan unless
+    *kwargs* pick another engine."""
+    ring = make_ring(RingGeometry.ring(64),
+                     **(kwargs or {"rung": "fastpath"}))
     _configure(ring)
     return ring
 
@@ -57,7 +63,7 @@ def _measure_operating_points() -> dict:
     cycles = 3_000
     points = {}
 
-    ring = _ring64(fastpath=False)
+    ring = _ring64(backend="interpreter")
     ring.run(4)
     points["interpreter"] = _cycles_per_second(ring, cycles)
 

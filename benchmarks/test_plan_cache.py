@@ -1,15 +1,18 @@
-"""Plan cache under reconfiguration churn + macro-step fusion throughput.
+"""Plan cache under reconfiguration churn + macro kernel throughput.
 
 Two perf claims from the plan-cache work are pinned here:
 
 1. **Churn**: a workload that hardware-multiplexes between two known
    contexts every few cycles pays a full plan compile per switch with
    the cache disabled, but only a fingerprint lookup with it enabled.
-   The acceptance floor is 5x cycles/s cache-on vs cache-off.
-2. **Macro-stepping**: on a steady-state FIR the fused macro kernels
-   (K cycles of straight-line generated source per Python dispatch)
-   must beat the per-cycle fast path; K is swept over {1, 8, 64} where
-   K=1 *is* the per-cycle fast path.
+   The acceptance floor is 5x cycles/s cache-on vs cache-off, measured
+   on rings pinned to the per-cycle plan.  The same loop on a default
+   ring, which climbs the compiled ladder itself, is recorded beside it
+   (not gated).
+2. **Macro fusion**: on a steady-state FIR the fused macro kernel (one
+   period of straight-line generated source per Python dispatch) must
+   beat the per-cycle plan.  Both kernels are compiled and run
+   directly.
 
 Everything lands in ``BENCH_plancache.json`` so CI archives a perf
 data point per PR.  Run with ``pytest -s benchmarks/test_plan_cache.py``
@@ -28,6 +31,7 @@ from repro.analysis import render_table
 from repro.core.isa import Dest, MicroWord, Opcode, Source
 from repro.core.ring import Ring, RingGeometry
 from repro.kernels.fir import build_spatial_fir
+from tests.rungs import PinnedRing, rung_cycles_per_second
 
 #: Acceptance floor: churn cycles/s with the plan cache enabled over the
 #: cache-disabled recompile-on-every-switch baseline.  Measured ratios
@@ -37,8 +41,9 @@ TARGET_CHURN_SPEEDUP = 5.0
 #: Cycles run in each context before switching to the other one.
 CHURN_SPAN = 8
 
-#: Macro-step sweep; K=1 is per-cycle fast-path dispatch.
-MACRO_STEPS = (1, 8, 64)
+#: The rungs swept on the steady-state FIR: the per-cycle plan
+#: ("fastpath") and the fused macro kernel.
+STEADY_RUNGS = ("fastpath", "macro")
 
 #: Where the recorded numbers land (repo root, picked up by CI artifacts).
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_plancache.json"
@@ -46,8 +51,12 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_plancache.json"
 _TAPS = [3, -1, 4, 1, -5, 9, 2, -6]
 
 
-def _fir_ring(**kwargs) -> Ring:
-    ring = Ring(RingGeometry(layers=len(_TAPS), width=2), **kwargs)
+def _fir_ring(pinned: bool = True, **kwargs) -> Ring:
+    """The FIR ring, pinned to the per-cycle plan unless *pinned* is
+    False (a default ring on the compiled ladder)."""
+    geometry = RingGeometry(layers=len(_TAPS), width=2)
+    ring = (PinnedRing(geometry, "fastpath", **kwargs) if pinned
+            else Ring(geometry, **kwargs))
     build_spatial_fir(_TAPS, ring=ring)
     return ring
 
@@ -70,14 +79,15 @@ def _switch_context(ring: Ring, which: int) -> None:
                   imm=coeff))
 
 
-def _churn_cycles_per_second(cache: int, rounds: int = 150,
+def _churn_cycles_per_second(cache: int, pinned: bool = True,
+                             rounds: int = 150,
                              repeats: int = 3) -> tuple[float, int]:
     """Best-of-*repeats* throughput of an A/B context-switch loop.
 
     Returns (cycles/s, plan compiles over the whole run) — the compile
     count is the direct evidence of what the cache saves.
     """
-    ring = _fir_ring(plan_cache=cache)
+    ring = _fir_ring(pinned, plan_cache=cache)
     for which in (0, 1):   # warm both contexts (and the cache, if any)
         _switch_context(ring, which)
         ring.run(CHURN_SPAN, host_in=_host_zero)
@@ -93,42 +103,44 @@ def _churn_cycles_per_second(cache: int, rounds: int = 150,
     return best, ring.plan_compiles
 
 
-def _steady_cycles_per_second(macro_step: int, cycles: int = 20_000,
-                              repeats: int = 3) -> float:
-    ring = _fir_ring(macro_step=macro_step if macro_step > 1 else 0)
+def _steady_cycles_per_second(rung: str, cycles: int = 20_000) -> float:
+    ring = _fir_ring()
     ring.run(4, host_in=_host_zero)
-    best = 0.0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        ring.run(cycles, host_in=_host_zero)
-        elapsed = time.perf_counter() - start
-        best = max(best, cycles / elapsed)
-    if macro_step > 1:
+    rate = rung_cycles_per_second(ring, rung, cycles, host_in=_host_zero)
+    if rung == "macro":
         assert ring.macro_cycles > 0, "fusion must actually engage"
-    return best
+    return rate
 
 
 def test_plan_cache_and_macro_step_throughput():
     churn_off, compiles_off = _churn_cycles_per_second(cache=0)
     churn_on, compiles_on = _churn_cycles_per_second(cache=8)
     churn_speedup = churn_on / churn_off
+    ladder_off, _ = _churn_cycles_per_second(cache=0, pinned=False)
+    ladder_on, _ = _churn_cycles_per_second(cache=8, pinned=False)
 
     emit(render_table(
-        ["plan cache", "cyc/s", "plan compiles", "speedup"],
-        [["off (0)", f"{churn_off:,.0f}", str(compiles_off), "1.0x"],
-         ["on (8)", f"{churn_on:,.0f}", str(compiles_on),
-          f"{churn_speedup:.1f}x"]],
+        ["ring", "plan cache", "cyc/s", "plan compiles", "speedup"],
+        [["per-cycle plan", "off (0)", f"{churn_off:,.0f}",
+          str(compiles_off), "1.0x"],
+         ["per-cycle plan", "on (8)", f"{churn_on:,.0f}",
+          str(compiles_on), f"{churn_speedup:.1f}x"],
+         ["default ladder", "off (0)", f"{ladder_off:,.0f}", "",
+          f"{ladder_off / churn_off:.1f}x"],
+         ["default ladder", "on (8)", f"{ladder_on:,.0f}", "",
+          f"{ladder_on / churn_off:.1f}x"]],
         title=f"A/B reconfiguration churn (switch every {CHURN_SPAN} "
               f"cycles)",
     ))
 
-    macro_rates = {k: _steady_cycles_per_second(k) for k in MACRO_STEPS}
-    baseline = macro_rates[1]
+    rates = {rung: _steady_cycles_per_second(rung)
+             for rung in STEADY_RUNGS}
+    baseline = rates["fastpath"]
     emit(render_table(
-        ["macro step", "cyc/s", "vs per-cycle fast path"],
-        [[f"K={k}", f"{rate:,.0f}", f"{rate / baseline:.1f}x"]
-         for k, rate in macro_rates.items()],
-        title="steady-state 8-tap FIR macro-step sweep",
+        ["rung", "cyc/s", "vs per-cycle plan"],
+        [[rung, f"{rate:,.0f}", f"{rate / baseline:.1f}x"]
+         for rung, rate in rates.items()],
+        title="steady-state 8-tap FIR, per-cycle plan vs macro kernel",
     ))
 
     assert churn_speedup >= TARGET_CHURN_SPEEDUP, (
@@ -136,9 +148,9 @@ def test_plan_cache_and_macro_step_throughput():
         f"cache-disabled churn throughput (target "
         f"{TARGET_CHURN_SPEEDUP}x)"
     )
-    assert macro_rates[64] > baseline, (
-        f"macro K=64 ({macro_rates[64]:,.0f} cyc/s) must beat the "
-        f"per-cycle fast path ({baseline:,.0f} cyc/s)"
+    assert rates["macro"] > baseline, (
+        f"the macro kernel ({rates['macro']:,.0f} cyc/s) must beat the "
+        f"per-cycle plan ({baseline:,.0f} cyc/s)"
     )
 
     BENCH_PATH.write_text(json.dumps({
@@ -154,9 +166,13 @@ def test_plan_cache_and_macro_step_throughput():
             "cache_on": compiles_on,
         },
         "churn_speedup": round(churn_speedup, 2),
+        "ladder_churn_cycles_per_second": {
+            "cache_off": round(ladder_off),
+            "cache_on": round(ladder_on),
+        },
         "target_churn_speedup": TARGET_CHURN_SPEEDUP,
-        "macro_step_cycles_per_second": {
-            f"k{k}": round(rate) for k, rate in macro_rates.items()},
-        "macro64_speedup_vs_fastpath": round(macro_rates[64] / baseline, 2),
+        "steady_cycles_per_second": {
+            rung: round(rate) for rung, rate in rates.items()},
+        "macro_speedup_vs_fastpath": round(rates["macro"] / baseline, 2),
     }, indent=2) + "\n")
     emit(f"wrote {BENCH_PATH.name}")

@@ -5,8 +5,9 @@ Two measurements, recorded in ``BENCH_scenarios.json`` for CI artifacts:
 * **per-kernel engine sweep** — steady-state fabric cycles/s for a
   representative slice of the scenario library (hand-mapped NCO and
   echo, compiled resampler/mixer/magnitude/CORDIC) on the interpreter,
-  the compiled fast path, the native tier and the macro-stepped
-  interpreter;
+  the per-cycle plan, the compiled ladder (native first) and the macro
+  kernel — the per-cycle plan and macro columns on rings pinned to that
+  rung (:class:`tests.rungs.PinnedRing`);
 * **reconfiguration churn** — end-to-end samples/s of the two
   plane-switching pipelines (synth voice, effects chain) across chunk
   sizes, with the plan-cache telemetry that proves steady-state churn
@@ -31,6 +32,7 @@ from repro.kernels.effects import build_echo
 from repro.kernels.nco import NCO_LAYERS, build_nco
 from repro.kernels.scenarios import (EFFECTS_GEOMETRY, SYNTH_GEOMETRY,
                                      run_effects_chain, run_synth_voice)
+from tests.rungs import make_ring
 
 #: Where the recorded numbers land (repo root, picked up by CI artifacts).
 BENCH_PATH = Path(__file__).resolve().parent.parent / \
@@ -39,15 +41,15 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / \
 #: Engine sweep for the per-kernel table (the batch backend is covered
 #: by ``BENCH_batch.json`` on its own terms).
 ENGINES = {
-    "interpreter": {"fastpath": False},
-    "fastpath": {},
-    "native": {"backend": "native"},
-    "macro": {"macro_step": 4},
+    "interpreter": {"backend": "interpreter"},
+    "fastpath": {"rung": "fastpath"},
+    "native": {},
+    "macro": {"rung": "macro"},
 }
 
-#: Acceptance floor: the compiled fast path over the interpreter on the
+#: Acceptance floor: the per-cycle plan over the interpreter on the
 #: hand-mapped NCO.  Real ratios are far higher; the floor only guards
-#: against the fast path silently falling back to interpretation.
+#: against the plan silently falling back to interpretation.
 TARGET_NCO_FASTPATH_SPEEDUP = 1.5
 
 _MEASURE_CYCLES = 2_000
@@ -71,12 +73,13 @@ def _cycles_per_second(ring: Ring, cycles: int = _MEASURE_CYCLES,
 def _kernel_rings():
     """name -> engine_kwargs -> configured ring, for the sweep."""
     def nco_ring(kwargs):
-        ring = Ring(RingGeometry(layers=NCO_LAYERS, width=2), **kwargs)
+        ring = make_ring(RingGeometry(layers=NCO_LAYERS, width=2),
+                         **kwargs)
         build_nco(1873, ring=ring)
         return ring
 
     def echo_ring(kwargs):
-        ring = Ring(RingGeometry(layers=8, width=2), **kwargs)
+        ring = make_ring(RingGeometry(layers=8, width=2), **kwargs)
         build_echo(22000, ring=ring)
         return ring
 
@@ -84,7 +87,7 @@ def _kernel_rings():
         program = compile_graph(build_graph(name))
 
         def make(kwargs):
-            ring = Ring(program.geometry, **kwargs)
+            ring = make_ring(program.geometry, **kwargs)
             program.configure(ring)
             return ring
         return make
@@ -116,7 +119,7 @@ def test_scenario_kernel_engine_sweep_and_pipeline_churn():
 
     nco_speedup = kernels["nco"]["fastpath"] / kernels["nco"]["interpreter"]
     assert nco_speedup >= TARGET_NCO_FASTPATH_SPEEDUP, (
-        f"NCO fast path sustained only {nco_speedup:.2f}x the "
+        f"NCO per-cycle plan sustained only {nco_speedup:.2f}x the "
         f"interpreter (target {TARGET_NCO_FASTPATH_SPEEDUP}x)"
     )
 

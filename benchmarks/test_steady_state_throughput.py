@@ -5,9 +5,10 @@ the paper's Ring-64 SoC operating point — simulate at a useful speed: in
 steady state the configuration is static, so per-cycle routing resolution
 and microword dispatch are pure overhead.  This benchmark measures fabric
 cycles per second on a representative DSP configuration (forward MADD
-chains, local-mode MAC loops, feedback taps) for Ring-8/16/64 with the
-fast path disabled and enabled, and asserts the tentpole target: at least
-a 3x steady-state speedup on Ring-64.
+chains, local-mode MAC loops, feedback taps) for Ring-8/16/64 on the
+interpreter and on a ring pinned to the per-cycle plan
+(:class:`tests.rungs.PinnedRing`), and asserts the tentpole target: at
+least a 3x steady-state speedup on Ring-64.
 
 Run with ``pytest -s benchmarks/test_steady_state_throughput.py`` to see
 the reproduced table.
@@ -23,6 +24,7 @@ from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.ring import Ring, RingGeometry
 from repro.core.switch import PortSource
+from tests.rungs import make_ring
 
 #: Ring-64 acceptance floor (steady-state cycles/sec, fast path over
 #: interpreter).  The measured ratio is typically far higher; 3x keeps the
@@ -77,11 +79,11 @@ def _cycles_per_second(ring: Ring, cycles: int, repeats: int = 3) -> float:
 
 def _measure(dnodes: int, cycles: int) -> tuple:
     results = []
-    for fastpath in (False, True):
-        ring = Ring(RingGeometry.ring(dnodes), fastpath=fastpath)
+    for kwargs in ({"backend": "interpreter"}, {"rung": "fastpath"}):
+        ring = make_ring(RingGeometry.ring(dnodes), **kwargs)
         _configure(ring)
         ring.run(4)  # settle + (fast path) compile outside the timed region
-        if fastpath:
+        if "rung" in kwargs:
             assert ring._plan is not None, "fast path failed to engage"
         results.append(_cycles_per_second(ring, cycles))
     return tuple(results)

@@ -178,7 +178,7 @@ class MetricsRegistry:
              "Cached plans evicted by the LRU capacity bound.",
              self._cache_counter("evictions")),
             ("macro_step_cycles_total", "counter",
-             "Cycles executed inside fused macro-step kernels.",
+             "Cycles executed inside fused macro kernels.",
              getattr(ring, "macro_cycles", 0)),
             ("native_cycles_total", "counter",
              "Cycles executed inside time-vectorized native kernels.",
@@ -187,7 +187,7 @@ class MetricsRegistry:
              "Native plans compiled (cache hits re-adopt for free).",
              getattr(ring, "native_compiles", 0)),
             ("native_fallback_cycles_total", "counter",
-             "Cycles a native-backend ring handed down the fall-back "
+             "Compiled-span cycles the native rung handed down the "
              "ladder (ineligible config, remainder, unsafe FIFO "
              "window).",
              getattr(ring, "native_fallback_cycles", 0)),

@@ -13,13 +13,14 @@ The search space per :class:`~repro.compiler.graph.DataflowGraph`:
   pure mapping choice, see :data:`repro.compiler.codegen.MODES`);
 * **placement** — per-level lane orders
   (:data:`repro.compiler.schedule.LANE_ORDERS`; feedback taps only reach
-  lanes 0..1, so lane order decides legality *and* shape);
-* **engine** — ``fastpath`` / ``native`` / ``batch`` out of
-  :attr:`repro.core.ring.Ring.BACKEND_REGISTRY`, macro-step fusion
-  targets, and plan-cache sizing.
+  lanes 0..1, so lane order decides legality *and* shape).
+
+The engine is not a search axis: the ring's compiled ladder picks the
+fastest rung each mapping is eligible for by itself, so every candidate
+is scored on the rung it will actually run on.
 
 Scoring is *measured*, not modelled: each candidate is configured onto a
-private ring and timed with :func:`~repro.compiler.profiler.\
+private default ring and timed with :func:`~repro.compiler.profiler.\
 measured_cycles_per_second` (short :meth:`~repro.core.ring.Ring.profile`
 runs behind a warm-up chunk, so compile/jit cost never skews the score).
 A candidate can only win after it reproduces the graph's golden
@@ -33,8 +34,8 @@ pays one dict lookup plus a recompile, no search.
 
 :func:`fuzz_conformance` reuses the machinery as a coverage-guided
 configuration fuzzer: randomly mutated graphs sweep candidate mappings
-and every execution engine, each run checked against the golden
-evaluator — a conformance hammer across the full engine matrix.
+and every backend, each run checked against the golden evaluator — a
+conformance hammer across the full engine matrix.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro import word
 from repro.compiler.codegen import MODES, CompiledProgram, compile_graph
@@ -76,39 +77,10 @@ class Mapping:
 
     mode: str = "global"
     lane_order: str = "index"
-    backend: str = "fastpath"
-    macro_step: int = 0
-    plan_cache: int = 8
-
-    def ring_kwargs(self) -> Dict[str, object]:
-        """Ring construction kwargs realising the engine choice."""
-        kwargs: Dict[str, object] = {
-            "backend": self.backend,
-            "plan_cache": self.plan_cache,
-        }
-        if self.macro_step:
-            kwargs["macro_step"] = self.macro_step
-        if self.backend == "batch":
-            kwargs["batch_size"] = 1
-        return kwargs
 
     def describe(self) -> str:
-        engine = self.backend
-        if self.macro_step:
-            engine += f"+macro{self.macro_step}"
-        return (f"{self.mode}/{self.lane_order}/{engine}"
-                f"/cache{self.plan_cache}")
+        return f"{self.mode}/{self.lane_order}"
 
-
-#: Engine variants swept per surviving placement: (backend, macro_step,
-#: plan_cache).
-ENGINE_VARIANTS: Tuple[Tuple[str, int, int], ...] = (
-    ("fastpath", 0, 8),
-    ("fastpath", 64, 8),
-    ("fastpath", 64, 2),
-    ("batch", 0, 8),
-    ("native", 0, 8),
-)
 
 #: Lane orders the placement stage tries (reverse adds nothing the
 #: other two cannot reach on levelled graphs, so it stays fuzzer-only).
@@ -180,8 +152,7 @@ def _program_for(graph: DataflowGraph,
         geometry = RingGeometry(layers=max(placement.levels, 2),
                                 width=width)
     return compile_graph(graph, geometry=geometry, mode=mapping.mode,
-                         lane_order=mapping.lane_order,
-                         ring_kwargs=mapping.ring_kwargs())
+                         lane_order=mapping.lane_order)
 
 
 @dataclass
@@ -258,18 +229,19 @@ def _verify(program: CompiledProgram, golden: Dict[int, List[int]],
     return None
 
 
-def _verify_bulk_engine(program: CompiledProgram, mapping: Mapping,
+def _verify_bulk_engine(program: CompiledProgram,
                         cycles: int = 192) -> Optional[str]:
     """Digest-check the mapping's *bulk* engine against the interpreter.
 
     Scoring and production runs take :meth:`Ring.run`'s steady-state
-    ladder (native / macro / per-cycle plan), which per-cycle tap
-    verification never touches — so the winner must additionally prove
-    that path bit-identical to the reference interpreter.
+    ladder (native / macro / per-cycle plan) over long spans, which the
+    short tap verification run does not reach — so the winner must
+    additionally prove that path bit-identical to the reference
+    interpreter.
     """
-    tuned = Ring(program.geometry, **mapping.ring_kwargs())
+    tuned = Ring(program.geometry)
     program.configure(tuned)
-    reference = Ring(program.geometry, fastpath=False)
+    reference = Ring(program.geometry, backend="interpreter")
     program.configure(reference)
     tuned.run(cycles, bus=_SCORE_BUS, host_in=_score_host)
     reference.run(cycles, bus=_SCORE_BUS, host_in=_score_host)
@@ -279,10 +251,10 @@ def _verify_bulk_engine(program: CompiledProgram, mapping: Mapping,
     return None
 
 
-def _score(program: CompiledProgram, mapping: Mapping,
-           score_cycles: int, repeats: int) -> float:
-    """Measured steady-state cycles/s of *mapping* on a private ring."""
-    ring = Ring(program.geometry, **mapping.ring_kwargs())
+def _score(program: CompiledProgram, score_cycles: int,
+           repeats: int) -> float:
+    """Measured steady-state cycles/s of *program* on a private ring."""
+    ring = Ring(program.geometry)
     program.configure(ring)
     return measured_cycles_per_second(
         ring, score_cycles, bus=_SCORE_BUS, host_in=_score_host,
@@ -298,12 +270,11 @@ def autotune_graph(graph: DataflowGraph,
                    memo: bool = True) -> AutotuneResult:
     """Search the mapping space for *graph*; return the measured winner.
 
-    Two staged sweeps keep the candidate budget bounded: placement
-    variants (mode x lane order) are scored on the default engine first,
-    then every engine variant is scored on the best surviving placement.
-    Every candidate that would win is first verified bit-identical to
-    the golden evaluator; the winner's bulk engine is digest-checked
-    against the reference interpreter on top.
+    Every placement variant (mode x lane order) is scored on the default
+    ring, whose compiled ladder runs it on the fastest rung it is
+    eligible for.  Every candidate that would win is first verified
+    bit-identical to the golden evaluator; the winner's bulk engine is
+    digest-checked against the reference interpreter on top.
 
     Args:
         graph: the dataflow graph to map.
@@ -351,36 +322,16 @@ def autotune_graph(graph: DataflowGraph,
             scored.error = failure
             return scored
         scored.verified = True
-        scored.cycles_per_second = _score(program, mapping,
-                                          score_cycles, repeats)
+        scored.cycles_per_second = _score(program, score_cycles, repeats)
         return scored
 
-    # Stage 1 — placement sweep on the default engine.  The plain
-    # default mapping doubles as the speedup baseline.
+    # The plain default mapping doubles as the speedup baseline.
     baseline = evaluate(Mapping())
-    best_place = baseline
     for lane_order in PLACEMENT_ORDERS:
         for mode in MODES:
             if mode == "global" and lane_order == "index":
                 continue  # == baseline
-            scored = evaluate(Mapping(mode=mode, lane_order=lane_order))
-            if scored.verified and (scored.cycles_per_second
-                                    > best_place.cycles_per_second):
-                best_place = scored
-
-    # Stage 2 — engine sweep on the best surviving placement.
-    best = best_place
-    for backend, macro_step, plan_cache in ENGINE_VARIANTS:
-        mapping = Mapping(mode=best_place.mapping.mode,
-                          lane_order=best_place.mapping.lane_order,
-                          backend=backend, macro_step=macro_step,
-                          plan_cache=plan_cache)
-        if mapping == best_place.mapping:
-            continue
-        scored = evaluate(mapping)
-        if scored.verified and (scored.cycles_per_second
-                                > best.cycles_per_second):
-            best = scored
+            evaluate(Mapping(mode=mode, lane_order=lane_order))
 
     # The winner's bulk engine must be bit-identical to the interpreter;
     # on divergence (never observed — this is the safety net) fall back
@@ -390,7 +341,7 @@ def autotune_graph(graph: DataflowGraph,
     winner = None
     for scored in ranked:
         program = _program_for(graph, geometry, scored.mapping)
-        failure = _verify_bulk_engine(program, scored.mapping)
+        failure = _verify_bulk_engine(program)
         if failure is None:
             winner = scored
             break
@@ -424,12 +375,12 @@ FUZZ_OPS = ("mov", "add", "sub", "mul", "and", "or", "xor", "min",
             "max", "avg2", "absdiff", "addsat", "subsat", "cmpeq",
             "cmplt", "abs", "neg", "not", "shr")
 
-#: Engines every fuzz candidate executes on — the full
-#: :attr:`Ring.BACKEND_REGISTRY` matrix.
-FUZZ_ENGINES = ("interpreter", "fastpath", "native", "batch")
+#: Engines every fuzz candidate executes on — every
+#: :attr:`Ring.BACKEND_REGISTRY` backend.
+FUZZ_ENGINES = Ring.BACKENDS
 
 #: Candidate mappings each fuzz graph sweeps (engine choice is the
-#: separate FUZZ_ENGINES axis, so these vary the emission only).
+#: separate FUZZ_ENGINES axis).
 FUZZ_MAPPINGS = (
     Mapping(),
     Mapping(mode="local"),
@@ -439,15 +390,8 @@ FUZZ_MAPPINGS = (
 
 
 def _fuzz_ring(engine: str, geometry: RingGeometry) -> Ring:
-    if engine == "interpreter":
-        return Ring(geometry, fastpath=False)
-    if engine == "fastpath":
-        return Ring(geometry)
-    if engine == "native":
-        return Ring(geometry, backend="native")
-    if engine == "batch":
-        return Ring(geometry, backend="batch", batch_size=2)
-    raise SimulationError(f"unknown fuzz engine {engine!r}")
+    return Ring(geometry, backend=engine,
+                batch_size=2 if engine == "batch" else 1)
 
 
 def _run_program(program: CompiledProgram, ring: Ring,

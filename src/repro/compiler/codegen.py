@@ -53,9 +53,8 @@ class CompiledProgram:
     #: Mode assignment emitted by :meth:`configure` (see :data:`MODES`).
     mode: str = "global"
     #: Keyword arguments for the default ring :meth:`build_system`
-    #: creates — the autotuner bakes its engine choice (backend,
-    #: macro_step, plan_cache) in here so ``program.run()`` executes on
-    #: the tuned engine.
+    #: creates (``backend``, ``batch_size``, ``plan_cache``); empty means
+    #: the default ring, whose compiled ladder picks each span's rung.
     ring_kwargs: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -204,7 +203,7 @@ def compile_graph(graph: DataflowGraph,
         lane_order: per-level lane order (see
             :data:`repro.compiler.schedule.LANE_ORDERS`).
         ring_kwargs: keyword arguments for the default ring
-            ``build_system`` creates (backend, macro_step, ...).
+            ``build_system`` creates (backend, batch_size, plan_cache).
         autotune: search the mapping space instead of emitting the
             hand-shaped default — candidates are scored by measured
             cycles/s and verified bit-identical against

@@ -76,9 +76,16 @@ CycleThunk = Callable[[int, Optional[Callable[[int], int]]], object]
 
 
 class CompiledPlan:
-    """One fabric configuration compiled to flat per-cycle thunks."""
+    """One fabric configuration compiled to flat per-cycle thunks.
 
-    __slots__ = ("_ring", "_evals", "_shifts", "_commits", "_stats")
+    The plan also owns the configuration's fused kernels: ``kernels``
+    maps ``(tier, entry phase)`` to a macro or native kernel, or to the
+    :class:`~repro.core.plancache.Ineligible` verdict that refused it,
+    so the kernels live and die with the plan in the ring's plan cache.
+    """
+
+    __slots__ = ("_ring", "_evals", "_shifts", "_commits", "_stats",
+                 "kernels")
 
     def __init__(self, ring: "Ring", evals, shifts, commits, stats):
         self._ring = ring
@@ -86,6 +93,7 @@ class CompiledPlan:
         self._shifts = tuple(shifts)
         self._commits = tuple(commits)
         self._stats = tuple(stats)
+        self.kernels: dict = {}
 
     def run(self, cycles: int, bus: int,
             host_in: Optional[Callable[[int], int]]) -> int:

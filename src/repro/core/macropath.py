@@ -1,4 +1,4 @@
-"""Fused macro-step execution: one generated kernel per steady period.
+"""Fused macro kernels: one generated kernel per steady period.
 
 The pre-decoded fast path (:mod:`repro.core.fastpath`) already removes
 per-cycle *decode*, but it still pays Python dispatch per cycle: one
@@ -26,7 +26,7 @@ fabric and compiles it with :func:`exec`:
   samples appended inline after each commit.
 
 The generated kernel advances ``periods x period`` cycles per call, so
-Python-level dispatch is paid once per macro-step.  The period is the
+Python-level dispatch is paid once per call.  The period is the
 LCM of the local-mode LIMIT values (1 for an all-global fabric); local
 slot selection is baked per phase against the counters observed at
 compile time, and :meth:`MacroPlan.matches_phase` guards re-entry (the
@@ -85,10 +85,6 @@ class MacroPlan:
             if lc._counter != c0:
                 return False
         return True
-
-    def entry_phase(self) -> tuple:
-        """The baked entry counters (the ring's macro cache key part)."""
-        return tuple(c0 for _lc, c0, _limit in self._counter_entries)
 
     def run(self, cycles: int, bus: int, host_in) -> None:
         """Advance *cycles* fabric clocks (must be a multiple of period).

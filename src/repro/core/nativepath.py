@@ -1,6 +1,6 @@
 """Native tier: time-axis-vectorized macro kernels (NumPy / optional Numba).
 
-The macro-step engine (:mod:`repro.core.macropath`) removes per-cycle
+The macro engine (:mod:`repro.core.macropath`) removes per-cycle
 Python dispatch by unrolling one sequencer period into straight-line
 Python — but every cycle of every Dnode is still a handful of Python
 bytecode operations.  This module goes one axis further: it vectorizes
@@ -36,7 +36,7 @@ output arrays, so re-running the Python version after a failed jitted
 call is safe.
 
 Eligibility — :func:`compile_native` returns None (the ring then falls
-back native → macro-step → fast path) when:
+back native → macro → per-cycle plan) when:
 
 * the period exceeds :data:`~repro.core.macropath.MAX_PERIOD` or the
   unroll cap (same limits as the macro tier);
@@ -130,10 +130,6 @@ class NativePlan:
             if lc._counter != c0:
                 return False
         return True
-
-    def entry_phase(self) -> tuple:
-        """The baked entry counters (the ring's native cache key part)."""
-        return tuple(c0 for _lc, c0, _limit in self._counter_entries)
 
     def safe_cycles(self, cycles: int) -> int:
         """Longest whole-period prefix of *cycles* this plan can run with
@@ -311,7 +307,7 @@ def compile_native(ring: "Ring") -> Optional[NativePlan]:
     """Compile *ring*'s current configuration into a native plan.
 
     Returns None when the configuration is ineligible; the caller falls
-    back to the macro-step / fast-path tiers.
+    back to the macro / per-cycle rungs.
     """
     plan = try_native(ring)
     return None if type(plan) is Ineligible else plan

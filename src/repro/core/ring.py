@@ -34,20 +34,23 @@ Two execution engines drive the same semantics:
 * the **interpreter** (:meth:`Ring._step_interpreted`) re-resolves switch
   routing and microword dispatch every cycle — the reference
   implementation;
-* the **fast path** (:mod:`repro.core.fastpath`) pre-decodes the current
-  configuration into direct per-Dnode closures and is used automatically
-  whenever the configuration has been stable for a full cycle.  Every
-  configuration mutation invalidates it, so reconfiguration always takes
-  effect on the very next cycle, exactly as before.
+* the **compiled ladder**: once the configuration has been stable for a
+  full cycle, it is pre-decoded into a per-cycle plan
+  (:mod:`repro.core.fastpath`), and longer spans climb to fused kernels
+  — a time-vectorized native kernel (:mod:`repro.core.nativepath`) when
+  the configuration is eligible, else a macro kernel
+  (:mod:`repro.core.macropath`) that pays Python dispatch once per
+  sequencer period.  The ring picks each span's rung from what it
+  observes: the eligibility verdict, the span length and whether the
+  configuration is recurring.  Every configuration mutation invalidates
+  the plan, so reconfiguration always takes effect on the very next
+  cycle.
 
-Two compounding layers sit on top (see ``docs/architecture.md``, "Plan
-cache & macro-stepping"): compiled plans are retained in an LRU
-:class:`~repro.core.plancache.PlanCache` keyed by
-:meth:`Ring.config_fingerprint`, so multiplexing between known
-configurations re-adopts each plan in one lookup instead of recompiling;
-and ``macro_step=K`` fuses steady-state runs into generated kernels
-(:mod:`repro.core.macropath`) that pay Python dispatch once per
-sequencer period instead of once per Dnode per cycle.
+Compiled plans, together with their fused kernels, are retained in an
+LRU :class:`~repro.core.plancache.PlanCache` keyed by
+:meth:`Ring.config_fingerprint` (see ``docs/architecture.md``, "Plan
+cache & the compiled ladder"), so multiplexing between known
+configurations re-adopts each plan in one lookup instead of recompiling.
 """
 
 from __future__ import annotations
@@ -70,11 +73,11 @@ from repro.core.plancache import DEFAULT_CAPACITY, Ineligible, PlanCache
 from repro.core.switch import _ROUTE_KIND_CODES, PortKind, PortSource, Switch
 from repro.errors import ConfigurationError, SimulationError
 
-#: Shortest bulk host window that pays for macro/native code generation
-#: on a configuration's first visit.  Codegen costs about 1 ms per fused
+#: Shortest steady span that pays for macro/native code generation on a
+#: configuration's first visit.  Codegen costs about 1 ms per fused
 #: kernel, which the fused tiers win back only over a few hundred cycles;
 #: a configuration re-adopted from the plan cache is recurring, so its
-#: kernels are generated whatever the window length.
+#: kernels are generated whatever the span length.
 FIRST_VISIT_CODEGEN_CYCLES = 128
 
 #: Fallback reason recorded when first-visit codegen is deferred.
@@ -295,10 +298,9 @@ class Ring:
     #: adding an engine is one entry here.
     BACKEND_REGISTRY = {
         "interpreter": "reference cycle-by-cycle interpreter",
-        "fastpath": "pre-decoded per-cycle closure plans",
-        "native": "time-vectorized NumPy macro kernels "
-                  "(optional Numba jit), falling back to "
-                  "macro-step/fastpath",
+        "native": "compiled ladder: time-vectorized NumPy kernels "
+                  "(optional Numba jit), fused macro kernels, "
+                  "per-cycle plans",
         "batch": "lane-vectorized NumPy engine over batch_size streams",
     }
 
@@ -306,25 +308,12 @@ class Ring:
     BACKENDS = tuple(BACKEND_REGISTRY)
 
     @classmethod
-    def _check_backend(cls, backend: str) -> None:
+    def _check_backend(cls, backend: str, batch_size: int) -> None:
         if backend not in cls.BACKEND_REGISTRY:
             raise ConfigurationError(
                 f"unknown backend {backend!r}; expected one of "
                 f"{cls.BACKENDS}"
             )
-
-    def __init__(self, geometry: RingGeometry,
-                 strict_fifos: bool = False,
-                 fastpath: bool = True,
-                 backend: Optional[str] = None,
-                 batch_size: int = 1,
-                 plan_cache: int = DEFAULT_CAPACITY,
-                 macro_step: int = 0):
-        self.geometry = geometry
-        self.strict_fifos = strict_fifos
-        if backend is None:
-            backend = "fastpath" if fastpath else "interpreter"
-        self._check_backend(backend)
         if batch_size < 1:
             raise ConfigurationError(
                 f"batch size must be >= 1, got {batch_size}"
@@ -334,39 +323,36 @@ class Ring:
                 f"batch_size {batch_size} requires backend='batch', "
                 f"got {backend!r}"
             )
-        if macro_step < 0:
-            raise ConfigurationError(
-                f"macro step must be >= 0, got {macro_step}"
-            )
-        self.backend = backend
-        self.batch_size = batch_size
-        # The scalar fast path also backs batch mode at B=1: one lane of
+
+    def __init__(self, geometry: RingGeometry,
+                 strict_fifos: bool = False,
+                 backend: str = "native",
+                 batch_size: int = 1,
+                 plan_cache: int = DEFAULT_CAPACITY):
+        self.geometry = geometry
+        self.strict_fifos = strict_fifos
+        self._check_backend(backend, batch_size)
+        # The scalar ladder also backs batch mode at B=1: one lane of
         # NumPy-array indexing is strictly slower than the scalar plan
         # (~6x in BENCH_batch.json), and the lane-0 writeback contract is
         # trivially the scalar state itself.  The vector engine is only
-        # engaged at B>1 or once `ring.batch` has been handed out.  The
-        # native tier sits on top of the fast path (its per-cycle
-        # remainder and fall-back ladder), so it enables the scalar plan
-        # machinery too.
-        self.fastpath_enabled = (backend in ("fastpath", "native")
-                                 or (backend == "batch" and batch_size == 1))
-        #: Configuration-fingerprinted LRU cache of compiled plans (and
-        #: macro kernels).  Capacity 0 disables caching entirely.
+        # engaged at B>1 or once `ring.batch` has been handed out.
+        self.backend = backend
+        self.batch_size = batch_size
+        #: Configuration-fingerprinted LRU cache of compiled plans, each
+        #: carrying its fused kernels.  Capacity 0 disables caching.
         self.plan_cache = PlanCache(plan_cache)
-        #: Macro-step fusion target: 0/1 = off, K>1 = fuse runs of at
-        #: least K steady-state cycles into generated macro kernels.
-        self.macro_step = macro_step
         #: Cycles executed by fused macro kernels (coverage metric).
         self.macro_cycles = 0
         # Active macro kernel for the current configuration + entry phase
         # (None = not compiled, an Ineligible verdict = cannot fuse).
         self._macro = None
         #: Native-tier lifetime counters: cycles executed by
-        #: time-vectorized kernels, plans compiled, and cycles a
-        #: ``backend="native"`` ring had to hand to the fall-back ladder
-        #: (ineligible configuration, sub-period remainders, unsafe FIFO
-        #: windows).  Host-side accounting like ``macro_cycles`` —
-        #: preserved across :meth:`reset` and snapshot restore.
+        #: time-vectorized kernels, plans compiled, and cycles of compiled
+        #: spans the native rung handed down the ladder (ineligible
+        #: configuration, sub-period remainders, unsafe FIFO windows).
+        #: Host-side accounting like ``macro_cycles`` — preserved across
+        #: :meth:`reset` and snapshot restore.
         self.native_cycles = 0
         self.native_compiles = 0
         self.native_fallback_cycles = 0
@@ -378,9 +364,13 @@ class Ring:
         #: or :data:`DEFERRED_CODEGEN`.  Counts refused steady spans;
         #: host-side lifetime accounting like ``native_cycles``.
         self.engine_fallbacks: Dict[str, int] = {}
-        # True while the active plan was re-adopted through the plan
-        # cache (a recurring configuration), False on a first visit.
+        # True while the active plan was re-adopted through a plan-cache
+        # hit or re-armed by adopt_cached_plan() (a recurring
+        # configuration), False on a first visit.
         self._revisit = False
+        # True once the current configuration has been looked up in the
+        # plan cache, so one visit counts one lookup.
+        self._looked_up = False
         # Configuration-derived values, dropped on every mutation.
         self._fingerprint: Optional[tuple] = None
         self._host_channels: Optional[Tuple[int, ...]] = None
@@ -480,21 +470,11 @@ class Ring:
         0 back after every run), so the new engine picks up exactly
         where the old one stopped.  Entering batch mode broadcasts that
         state across *batch_size* lanes; ``"native"`` keeps the scalar
-        state and compiles time-vectorized kernels for eligible
-        steady-state spans.
+        state and runs it on the compiled ladder.
         """
-        self._check_backend(backend)
         if batch_size is None:
             batch_size = self.batch_size if backend == "batch" else 1
-        if batch_size < 1:
-            raise ConfigurationError(
-                f"batch size must be >= 1, got {batch_size}"
-            )
-        if batch_size > 1 and backend != "batch":
-            raise ConfigurationError(
-                f"batch_size {batch_size} requires backend='batch', "
-                f"got {backend!r}"
-            )
+        self._check_backend(backend, batch_size)
         if self._batch_engine is not None and (
                 backend != "batch"
                 or self._batch_engine.batch != batch_size):
@@ -502,11 +482,10 @@ class Ring:
             self._batch_engine = None
         self.backend = backend
         self.batch_size = batch_size
-        self.fastpath_enabled = (backend in ("fastpath", "native")
-                                 or (backend == "batch" and batch_size == 1))
         self._plan = None
         self._macro = None
         self._native = None
+        self._looked_up = False
         self._config_dirty = True
 
     def set_plan_cache(self, capacity: int) -> None:
@@ -519,15 +498,6 @@ class Ring:
         self.plan_cache = PlanCache(capacity)
         if self._batch_engine is not None:
             self._batch_engine.set_plan_cache(capacity)
-
-    def set_macro_step(self, macro_step: int) -> None:
-        """Set the macro-step fusion target (0/1 disables fusion)."""
-        if macro_step < 0:
-            raise ConfigurationError(
-                f"macro step must be >= 0, got {macro_step}"
-            )
-        self.macro_step = macro_step
-        self._macro = None
 
     def add_invalidation_listener(
             self, listener: Callable[[], None]) -> None:
@@ -789,9 +759,10 @@ class Ring:
             return
         recorders = (host_in.recorders() if type(host_in) is HostWindow
                      else ())
+        compiled = self.backend != "interpreter"
         while cycles > 0:
             plan = self._plan
-            if plan is None and self.fastpath_enabled:
+            if plan is None and compiled:
                 plan = self._adopt_cached_plan()
             if plan is not None:
                 if cycles > 1:
@@ -811,7 +782,8 @@ class Ring:
                 profile.interpreted_cycles += 1
             for dn, record in recorders:
                 record(dn._out)
-            self._maybe_compile()
+            if compiled:
+                self._maybe_compile()
             cycles -= 1
 
     def _run_rung(self, engine, rung: str, cycles: int, bus: int,
@@ -885,6 +857,7 @@ class Ring:
         self._native = None
         self._fingerprint = None
         self._host_channels = None
+        self._looked_up = False
         self._config_dirty = True
         for listener in self._invalidation_listeners:
             listener()
@@ -908,30 +881,31 @@ class Ring:
         return fingerprint
 
     def _adopt_cached_plan(self):
-        """Plan-cache lookup for the current configuration.
+        """Plan-cache lookup for the current configuration, once per
+        visit (a configuration mutation starts a new visit).
 
         On a hit the cached plan is adopted immediately — including on
-        the first cycle after a reconfiguration, which previously always
-        interpreted.  On a miss while the configuration is freshly
-        mutated, a fingerprint that has missed before is evidently part
-        of a multiplexing working set and is compiled eagerly; a
-        first-time fingerprint keeps the legacy deferred policy (so a
-        never-repeating per-cycle reconfiguration stream still compiles
-        nothing).  Either way the configuration is recurring, which
-        lifts the first-visit deferral of macro/native codegen.
+        the first cycle after a reconfiguration — and, the configuration
+        being recurring, the first-visit deferral of macro/native codegen
+        is lifted.  On a miss, a fingerprint that has missed before is
+        evidently part of a multiplexing working set and is compiled
+        eagerly; a first-time fingerprint keeps the deferred
+        compile-after-one-stable-cycle policy (so a never-repeating
+        per-cycle reconfiguration stream compiles nothing).
         """
         cache = self.plan_cache
-        if not cache.capacity:
+        if not cache.capacity or self._looked_up:
             return None
-        key = ("plan", self.config_fingerprint())
+        self._looked_up = True
+        key = self.config_fingerprint()
         plan = cache.get(key)
-        if plan is None and self._config_dirty and cache.note_miss(key):
+        self._revisit = plan is not None
+        if plan is None and cache.note_miss(key):
             plan = self._compile_plan_timed()
             cache.put(key, plan)
         if plan is not None:
             self._plan = plan
             self._config_dirty = False
-            self._revisit = True
         return plan
 
     def adopt_cached_plan(self) -> bool:
@@ -941,12 +915,16 @@ class Ring:
         job switches): after the configuration settles, one fingerprint
         lookup re-activates a cached plan immediately instead of waiting
         for the first ``step()`` to do it lazily.  Returns ``True`` when
-        a compiled plan is active afterwards.  The vector batch engine
-        never adopts scalar plans, so this is a no-op there.
+        a compiled plan is active afterwards.  A plan that is still
+        active counts as a revisit of its configuration — the caller is
+        starting another run on it — which lifts the first-visit codegen
+        deferral.  The interpreter and the vector batch engine never
+        adopt scalar plans, so this is a no-op there.
         """
-        if not self.fastpath_enabled:
+        if self.backend == "interpreter" or self._lane_engine_active():
             return False
         if self._plan is not None:
+            self._revisit = True
             return True
         return self._adopt_cached_plan() is not None
 
@@ -967,56 +945,48 @@ class Ring:
         """Compile a plan once the configuration survived a stable cycle."""
         if self._config_dirty:
             self._config_dirty = False
-        elif self.fastpath_enabled and self._plan is None:
+        elif self._plan is None:
             plan = self._compile_plan_timed()
             self._plan = plan
             self._revisit = False
             cache = self.plan_cache
             if cache.capacity:
-                cache.put(("plan", self.config_fingerprint()), plan)
+                cache.put(self.config_fingerprint(), plan)
 
-    def _ensure_fused(self, tier: str, codegen: bool):
+    def _ensure_fused(self, plan, tier: str, codegen: bool):
         """The *tier* (``"macro"``/``"native"``) kernel for the current
         configuration + entry phase, or None when the rung is refused.
 
-        Kernels are cached in :attr:`plan_cache` keyed by tier, entry
-        phase *and* fingerprint, so re-entering a known phase of a known
-        configuration skips codegen entirely.  A failed compile is cached
+        Kernels are stored on the configuration's *plan*, keyed by tier
+        and entry phase, so re-entering a known phase of a known
+        configuration skips codegen entirely, and evicting the plan from
+        :attr:`plan_cache` drops its kernels.  A failed compile is stored
         the same way, as an :class:`~repro.core.plancache.Ineligible`
         verdict naming the reason, so plane switching never re-runs a
-        doomed compile.  With *codegen* False (a short first-visit bulk
-        window) a cache miss refuses the rung without compiling.
+        doomed compile.  With *codegen* False (a short first-visit span)
+        an unknown phase refuses the rung without compiling.
         """
         attr = "_" + tier
         kernel = getattr(self, attr)
         if kernel is not None and (type(kernel) is Ineligible
                                    or kernel.matches_phase()):
             return self._verdict(kernel)
-        cache = self.plan_cache
-        key = None
-        if cache.capacity:
-            phase = tuple(
-                dn.local._counter for layer in self._dnodes
-                for dn in layer if dn.mode is DnodeMode.LOCAL
-            )
-            key = (tier, phase, self.config_fingerprint())
-            kernel = cache.get(key)
-            if kernel is not None:
-                setattr(self, attr, kernel)
-                return self._verdict(kernel)
-        if not codegen:
-            self._note_fallback(DEFERRED_CODEGEN)
-            return None
-        if tier == "native":
-            kernel = try_native(self)
-        else:
-            kernel = (compile_macro(self)
-                      or Ineligible("macro", "period too long to unroll"))
-        if tier == "native" and type(kernel) is not Ineligible:
-            self.native_compiles += 1
+        key = (tier, tuple(dn.local._counter for layer in self._dnodes
+                           for dn in layer if dn.mode is DnodeMode.LOCAL))
+        kernel = plan.kernels.get(key)
+        if kernel is None:
+            if not codegen:
+                self._note_fallback(DEFERRED_CODEGEN)
+                return None
+            if tier == "native":
+                kernel = try_native(self)
+                if type(kernel) is not Ineligible:
+                    self.native_compiles += 1
+            else:
+                kernel = (compile_macro(self) or
+                          Ineligible("macro", "period too long to unroll"))
+            plan.kernels[key] = kernel
         setattr(self, attr, kernel)
-        if key is not None:
-            cache.put(key, kernel)
         return self._verdict(kernel)
 
     def _verdict(self, kernel):
@@ -1031,44 +1001,34 @@ class Ring:
             self.engine_fallbacks.get(reason, 0) + 1)
 
     def _run_steady(self, plan, cycles: int, bus: int, host_in) -> None:
-        """Run *cycles* on the compiled engines: native, macro, per-cycle.
+        """Run *cycles* on the compiled ladder: native, macro, per-cycle.
 
-        With ``backend="native"``, the longest FIFO-safe period-multiple
-        prefix executes through the time-vectorized kernel; whatever it
-        cannot take (ineligible configuration, sub-period remainder,
-        unsafe FIFO window) falls down the ladder: macro-step fusion
-        first, the per-cycle plan last.  Otherwise, with macro-stepping
-        enabled and a long enough span, the bulk of the span executes in
-        period-multiples through the fused kernel; the sub-period
-        remainder (and everything, when fusion is off or ineligible)
-        goes through the per-cycle plan.
+        The longest FIFO-safe period-multiple prefix executes through the
+        time-vectorized native kernel; whatever it cannot take
+        (ineligible configuration, sub-period remainder, unsafe FIFO
+        window) falls down the ladder: the fused macro kernel takes the
+        whole periods of a remainder of at least two cycles, the
+        per-cycle plan the rest.
 
-        A bulk host window on a configuration's first visit generates no
-        new fused kernel unless it spans
-        :data:`FIRST_VISIT_CODEGEN_CYCLES`; once the configuration comes
-        back through the plan cache, codegen proceeds.
+        On a configuration's first visit a span generates no new fused
+        kernel unless it covers :data:`FIRST_VISIT_CODEGEN_CYCLES`; once
+        the configuration comes back through the plan cache, codegen
+        proceeds.
         """
-        codegen = (type(host_in) is not HostWindow or self._revisit
-                   or cycles >= FIRST_VISIT_CODEGEN_CYCLES)
-        k = self.macro_step
-        if self.backend == "native":
-            native = self._ensure_fused("native", codegen)
-            safe = native.safe_cycles(cycles) if native is not None else 0
-            if safe:
-                self._run_rung(native, "native", safe, bus, host_in)
-                cycles -= safe
-            if cycles:
-                self.native_fallback_cycles += cycles
-                # The remainder still deserves fusion even when the user
-                # never asked for macro-stepping explicitly.
-                k = max(k, 2)
-        if k > 1 and cycles >= k:
-            macro = self._ensure_fused("macro", codegen)
-            if macro is not None and cycles >= max(k, macro.period):
+        codegen = self._revisit or cycles >= FIRST_VISIT_CODEGEN_CYCLES
+        native = self._ensure_fused(plan, "native", codegen)
+        safe = native.safe_cycles(cycles) if native is not None else 0
+        if safe:
+            self._run_rung(native, "native", safe, bus, host_in)
+            cycles -= safe
+        if cycles:
+            self.native_fallback_cycles += cycles
+        if cycles >= 2:
+            macro = self._ensure_fused(plan, "macro", codegen)
+            if macro is not None and cycles >= macro.period:
                 fused = cycles - cycles % macro.period
-                if fused:
-                    self._run_rung(macro, "macro", fused, bus, host_in)
-                    cycles -= fused
+                self._run_rung(macro, "macro", fused, bus, host_in)
+                cycles -= fused
         if cycles:
             self._run_rung(plan, "fastpath", cycles, bus, host_in)
 

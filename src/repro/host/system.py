@@ -85,7 +85,7 @@ class RingSystem(HostPort):
         (the data controller's windows, counted on the system clock):
         stream words go in as arrays consumed by cycle index
         and tap samples come back as OUT histories, so the compiled
-        engines (fast path, macro-step, native, batch) run end to end
+        engines (per-cycle plan, macro, native, batch) run end to end
         without re-entering the host layer every cycle.  Observers split
         the window at their capture points, where the host queues and tap
         samples are exactly as per-cycle stepping leaves them.  With a
@@ -133,10 +133,6 @@ class RingSystem(HostPort):
     def set_plan_cache(self, capacity: int) -> None:
         """Resize the ring's compiled-plan cache (0 disables caching)."""
         self.ring.set_plan_cache(capacity)
-
-    def set_macro_step(self, macro_step: int) -> None:
-        """Set the ring's macro-step fusion target (0/1 disables)."""
-        self.ring.set_macro_step(macro_step)
 
     def metrics(self):
         """Aggregate every live counter into a MetricsSnapshot.

@@ -18,7 +18,7 @@ import json
 import pytest
 
 from repro.compiler.autotune import (
-    ENGINE_VARIANTS,
+    FUZZ_ENGINES,
     MEMO,
     STATS,
     Mapping,
@@ -36,6 +36,7 @@ from repro.compiler.library import (
 )
 from repro.compiler.schedule import LANE_ORDERS, schedule
 from repro.core.ring import Ring, RingGeometry
+from tests.rungs import rung_cycles_per_second
 
 #: Small search budget: candidate ranking may wobble at this size, but
 #: every property asserted here (verification, memoization, speedup
@@ -53,27 +54,28 @@ def _fresh_autotuner():
 
 class TestMapping:
     def test_describe_names_every_axis(self):
-        text = Mapping(mode="hybrid", lane_order="delay-first",
-                       backend="native", macro_step=64,
-                       plan_cache=2).describe()
-        assert text == "hybrid/delay-first/native+macro64/cache2"
+        text = Mapping(mode="hybrid", lane_order="delay-first").describe()
+        assert text == "hybrid/delay-first"
 
     def test_ring_kwargs_scalar_engine(self):
-        kwargs = Mapping(backend="fastpath", macro_step=64).ring_kwargs()
-        assert kwargs == {"backend": "fastpath", "plan_cache": 8,
-                          "macro_step": 64}
+        """A tuned program carries no engine choice: its default ring is
+        the scalar compiled ladder."""
+        result = autotune_graph(build_graph("fir8"), **FAST)
+        assert result.program.ring_kwargs == {}
+        assert result.program.build_system().ring.backend == "native"
 
     def test_ring_kwargs_lane_engine_gets_batch_size(self):
-        kwargs = Mapping(backend="batch").ring_kwargs()
-        assert kwargs["batch_size"] == 1
+        program = compile_graph(build_graph("fir8"), ring_kwargs={
+            "backend": "batch", "batch_size": 3})
+        ring = program.build_system().ring
+        assert (ring.backend, ring.batch_size) == ("batch", 3)
 
     def test_every_engine_variant_constructs_a_ring(self):
-        for backend, macro_step, plan_cache in ENGINE_VARIANTS:
-            mapping = Mapping(backend=backend, macro_step=macro_step,
-                              plan_cache=plan_cache)
-            ring = Ring(RingGeometry(layers=2, width=2),
-                        **mapping.ring_kwargs())
-            assert ring.backend == backend
+        from repro.compiler.autotune import _fuzz_ring
+        assert FUZZ_ENGINES == Ring.BACKENDS
+        for engine in FUZZ_ENGINES:
+            ring = _fuzz_ring(engine, RingGeometry(layers=2, width=2))
+            assert ring.backend == engine
 
 
 class TestSearch:
@@ -97,11 +99,13 @@ class TestSearch:
         streams = library_streams(graph, 20, seed=77)
         assert result.program.run(streams) == graph.evaluate(streams)
 
-    def test_search_covers_placements_and_engines(self):
+    def test_search_covers_every_placement(self):
+        """Six candidates: every mode x placement lane order, each once;
+        the ring's ladder, not the search, picks the engine rung."""
         result = autotune_graph(build_graph("envelope"), **FAST)
-        mappings = {c.mapping for c in result.candidates}
+        mappings = [c.mapping for c in result.candidates]
+        assert len(mappings) == len(set(mappings)) == 6
         assert {m.mode for m in mappings} == set(MODES)
-        assert len({(m.backend, m.macro_step) for m in mappings}) >= 4
 
     def test_report_renders_ranked_table(self):
         result = autotune_graph(build_graph("envelope"), **FAST)
@@ -164,7 +168,7 @@ class TestCompileGraphIntegration:
     def test_autotune_flag_returns_tuned_program(self):
         program = compile_graph(build_graph("envelope"), autotune=True,
                                 **FAST)
-        assert program.ring_kwargs  # engine choice baked in
+        assert program.ring_kwargs == {}  # the ladder picks the rung
         streams = library_streams(build_graph("envelope"), 8)
         golden = build_graph("envelope").evaluate(streams)
         assert program.run(streams) == golden
@@ -402,9 +406,18 @@ class TestScenarioRecipeTuning:
         graph = build_graph(name)
         result = autotune_graph(graph, **FAST)
         assert not result.cache_hit
-        # The macro/native engine variants leave the per-cycle default
-        # far behind on these shallow streaming graphs.
-        assert result.speedup >= 1.5
+        # The winner, on the ladder's macro/native rungs, leaves the
+        # default mapping on the per-cycle plan far behind on these
+        # shallow streaming graphs.
+        default = compile_graph(graph)
+        ring = Ring(default.geometry)
+        default.configure(ring)
+        per_cycle = rung_cycles_per_second(ring, "fastpath", 2000,
+                                           host_in=lambda ch: 17)
+        assert result.cycles_per_second >= 1.5 * per_cycle
+        # On the same ladder, the search never picks a mapping slower
+        # than the default one.
+        assert result.speedup >= 1.0
         # Winner reproduced the golden evaluator before being adopted.
         streams = library_streams(graph, 10)
         assert result.program.run(streams) == graph.evaluate(streams)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.core import ring as ring_module
 from repro.core.ring import Ring, RingGeometry
 
 # Every property suite replays one pinned example sequence and never
@@ -32,3 +33,14 @@ def ring16() -> Ring:
 def rng() -> np.random.Generator:
     """Deterministic random generator for data-driven tests."""
     return np.random.default_rng(0xD5B)
+
+
+@pytest.fixture
+def eager_codegen(monkeypatch):
+    """Let every steady span generate fused kernels, first visit or not.
+
+    For suites that pin the macro and native kernels' behaviour inside
+    the ladder on short runs; the first-visit codegen deferral itself is
+    tested on its own.
+    """
+    monkeypatch.setattr(ring_module, "FIRST_VISIT_CODEGEN_CYCLES", 0)

@@ -5,8 +5,8 @@ NumPy kernels must be indistinguishable from B scalar rings run one
 after another, which in turn must match the interpreter.  These property
 tests draw random fabric shapes, microprograms, routes, FIFO loads and
 host streams (reusing the spec generators of ``test_fuzz.py``), run the
-same configuration on the interpreter, the compiled fast path and one
-batch engine, and compare the complete architectural state per lane:
+same configuration on the interpreter, each rung of the compiled ladder
+and one batch engine, and compare the complete architectural state per lane:
 Dnode outputs and register files, switch feedback pipelines, FIFO
 contents and pop/underflow accounting, and the activity statistics.
 
@@ -67,8 +67,8 @@ def _state(ring: Ring) -> dict:
 
 
 def _scalar_lane_ring(spec: dict, seed: int, lane: int,
-                      fastpath: bool) -> Ring:
-    ring = build_ring(spec, fastpath=fastpath)
+                      **ring_kwargs) -> Ring:
+    ring = build_ring(spec, **ring_kwargs)
     for layer, pos, _mw, _local, _routes, loads in spec["cells"]:
         for channel in loads:
             ring.push_fifo(layer, pos, channel,
@@ -90,8 +90,8 @@ def _batch_ring(spec: dict, seed: int, batch: int) -> Ring:
     return ring
 
 
-def _run_lane_scalar(spec, seed, lane, cycles, bus, fastpath):
-    ring = _scalar_lane_ring(spec, seed, lane, fastpath=fastpath)
+def _run_lane_scalar(spec, seed, lane, cycles, bus, **ring_kwargs):
+    ring = _scalar_lane_ring(spec, seed, lane, **ring_kwargs)
     ring.run(cycles, bus=bus,
              host_in=lambda ch: _host_value(seed, ch, ring.cycles, lane))
     return ring
@@ -112,7 +112,7 @@ def _extract_lane(batch_ring: Ring, lane: int) -> dict:
 
 
 class TestDifferentialBackends:
-    """interpreter == fastpath == every batch lane, full state."""
+    """interpreter == per-cycle plan == every batch lane, full state."""
 
     @given(spec=ring_specs(min_layers=2, max_layers=5, min_width=1,
                            max_width=2, max_local=6),
@@ -127,9 +127,9 @@ class TestDifferentialBackends:
                   host_in=_batch_host_in(bring, seed, batch))
         for lane in range(batch):
             interp = _run_lane_scalar(spec, seed, lane, cycles, bus,
-                                      fastpath=False)
+                                      backend="interpreter")
             fast = _run_lane_scalar(spec, seed, lane, cycles, bus,
-                                    fastpath=True)
+                                    rung="fastpath")
             want = _state(interp)
             assert _state(fast) == want, f"fastpath diverged on {lane}"
             assert _extract_lane(bring, lane) == want, (
@@ -184,26 +184,25 @@ class TestDifferentialCachedAndMacro:
 
     Extends the backend identity fuzz to the plan-cache layer: the same
     random configuration churn (context A / context B / back to A) is
-    driven through an interpreter ring, a cache-enabled fast-path ring
+    driven through an interpreter ring, a cache-enabled ladder ring
     (which re-adopts plans on the A/B/A returns), a cache-disabled ring
-    (fresh compile every switch), a macro-stepping ring, and the batch
-    backend with its kernel cache.  Any fingerprint collision, stale
+    (fresh compile every switch), a ring pinned to the macro kernel, and
+    the batch backend with its kernel cache.  Any fingerprint collision, stale
     plan adoption, phase-mismatched macro kernel, or missed invalidation
     shows up as state divergence.
     """
 
     @given(spec=ring_specs(min_layers=2, max_layers=5, min_width=1,
                            max_width=2, max_local=6),
-           k=st.sampled_from([2, 8, 64]),
            chunks=st.lists(st.integers(min_value=1, max_value=40),
                            min_size=1, max_size=4),
            seed=st.integers(min_value=0, max_value=0xFFFF),
            bus=st.integers(min_value=0, max_value=0xFFFF))
     @settings(max_examples=50)
-    def test_macro_stepped_full_state_identity(self, spec, k, chunks,
-                                               seed, bus):
-        interp = build_ring(spec, fastpath=False)
-        fused = build_ring(spec, macro_step=k)
+    def test_macro_stepped_full_state_identity(self, spec, chunks, seed,
+                                              bus):
+        interp = build_ring(spec, backend="interpreter")
+        fused = build_ring(spec, rung="macro")
         for chunk in chunks:
             interp.run(chunk, bus=bus,
                        host_in=lambda ch: _host_value(seed, ch,
@@ -228,10 +227,10 @@ class TestDifferentialCachedAndMacro:
                                                    cycles, rounds, seed):
         """A/B/A context churn: cache-hit plans == fresh compiles ==
         interpreter, at every switch boundary."""
-        interp = build_ring(spec_a, fastpath=False)
+        interp = build_ring(spec_a, backend="interpreter")
         cached = build_ring(spec_a, plan_cache=8)
         fresh = build_ring(spec_a, plan_cache=0)
-        fused = build_ring(spec_a, plan_cache=8, macro_step=2)
+        fused = build_ring(spec_a, plan_cache=8, rung="macro")
         rings = (interp, cached, fresh, fused)
         for round_no in range(rounds):
             for spec in (spec_b, spec_a):
@@ -272,7 +271,7 @@ class TestDifferentialCachedAndMacro:
             "churn back to a seen context must hit the kernel cache"
         )
         for lane in range(batch):
-            scalar = _scalar_lane_ring(spec_a, seed, lane, fastpath=True)
+            scalar = _scalar_lane_ring(spec_a, seed, lane)
             for spec in plan:
                 _apply_config_only(scalar, spec)
                 scalar.run(cycles,
@@ -391,8 +390,8 @@ class TestFaultRecoveryDifferential:
             return result.trace()
 
         reference = trace_for(backend="interpreter")
-        assert trace_for(backend="fastpath") == reference
-        assert trace_for(backend="fastpath", macro_step=2) == reference
+        assert trace_for(rung="fastpath") == reference
+        assert trace_for(rung="macro") == reference
         assert trace_for(backend="native") == reference
         assert trace_for(backend="batch", batch_size=3) == reference
 
@@ -410,8 +409,8 @@ class TestFaultRecoveryDifferential:
                                                  rollback_replay)
 
         for kwargs in (dict(backend="interpreter"),
-                       dict(backend="fastpath"),
-                       dict(backend="fastpath", macro_step=2),
+                       dict(rung="fastpath"),
+                       dict(rung="macro"),
                        dict(backend="native"),
                        dict(backend="batch", batch_size=3)):
             golden = build_ring(spec, **kwargs)
@@ -464,7 +463,7 @@ class TestDifferentialNative:
            bus=st.integers(min_value=0, max_value=0xFFFF))
     @settings(max_examples=50)
     def test_native_full_state_identity(self, spec, chunks, seed, bus):
-        interp = build_ring(spec, fastpath=False)
+        interp = build_ring(spec, backend="interpreter")
         native = build_ring(spec, backend="native")
         for chunk in chunks:
             interp.run(chunk, bus=bus,
@@ -492,7 +491,7 @@ class TestDifferentialNative:
                                           rounds, seed):
         """Mid-run A/B/A context churn on the native backend: cached
         native plans re-adopted across switches == interpreter."""
-        interp = build_ring(spec_a, fastpath=False)
+        interp = build_ring(spec_a, backend="interpreter")
         native = build_ring(spec_a, backend="native")
         for _round in range(rounds):
             for spec in (spec_b, spec_a):
@@ -525,7 +524,7 @@ class TestDifferentialNative:
         test in ``test_nativepath.py``.)"""
         from repro.core.snapshot import capture, restore, state_digest
         cut = min(cut, total)
-        interp = build_ring(spec, fastpath=False)
+        interp = build_ring(spec, backend="interpreter")
         interp.run(total, host_in=lambda ch: _host_value(
             seed, ch, interp.cycles, 0))
 

@@ -1,8 +1,8 @@
 """Bit-identity proof: the pre-decoded fast path vs the interpreter.
 
 Every test builds two rings with identical geometry and configuration —
-one with ``fastpath=False`` (the reference interpreter) and one with the
-default fast path — drives both with the same bus/host/FIFO stimulus, and
+one with ``backend="interpreter"`` (the reference interpreter) and one
+pinned to the per-cycle plan (:class:`tests.rungs.PinnedRing`) — drives both with the same bus/host/FIFO stimulus, and
 compares the complete observable state: cycle and underflow counters,
 every register, OUT latch, local-sequencer counter and statistics field of
 every Dnode, every feedback-pipeline tap of every switch, the remaining
@@ -31,6 +31,10 @@ from repro.core.dnode import DnodeMode
 from repro.core.ring import Ring, RingGeometry
 from repro.core.switch import PortSource
 from repro.errors import SimulationError
+from tests.rungs import PinnedRing, make_ring
+
+#: The reference interpreter and the per-cycle plan, as ring kwargs.
+_PAIR_KWARGS = ({"backend": "interpreter"}, {"rung": "fastpath"})
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -167,8 +171,8 @@ def _state(ring: Ring) -> dict:
 
 def _make_pair(seed: int, layers: int = 4) -> tuple:
     geometry = RingGeometry(layers=layers, width=2)
-    reference = Ring(geometry, fastpath=False)
-    fast = Ring(geometry, fastpath=True)
+    reference = Ring(geometry, backend="interpreter")
+    fast = PinnedRing(geometry, "fastpath")
     _apply_random_config(reference, random.Random(seed))
     _apply_random_config(fast, random.Random(seed))
     return reference, fast
@@ -230,8 +234,8 @@ def test_midrun_reconfiguration_all_backends(seed, batch_size):
     stimulus is broadcast, so all lanes mirror the scalar run).
     """
     geometry = RingGeometry(layers=4, width=2)
-    reference = Ring(geometry, fastpath=False)
-    fast = Ring(geometry, fastpath=True)
+    reference = Ring(geometry, backend="interpreter")
+    fast = PinnedRing(geometry, "fastpath")
     batch = Ring(geometry, backend="batch", batch_size=batch_size)
     # B=1 rides the scalar fast path unless the vector engine has been
     # handed out; this test exercises the engine, so engage it.
@@ -423,7 +427,7 @@ def test_single_interpreted_cycle_before_compile():
 
 
 def test_fastpath_disabled_never_compiles():
-    ring = Ring(RingGeometry(layers=4, width=2), fastpath=False)
+    ring = Ring(RingGeometry(layers=4, width=2), backend="interpreter")
     ring.run(10)
     assert ring._plan is None
 
@@ -435,8 +439,8 @@ def test_fastpath_disabled_never_compiles():
 
 def _strict_pair():
     geometry = RingGeometry(layers=4, width=2)
-    return (Ring(geometry, strict_fifos=True, fastpath=False),
-            Ring(geometry, strict_fifos=True, fastpath=True))
+    return (Ring(geometry, strict_fifos=True, backend="interpreter"),
+            PinnedRing(geometry, "fastpath", strict_fifos=True))
 
 
 def test_strict_fifo_peek_error_identical():
@@ -471,8 +475,8 @@ def test_strict_fifo_pop_error_identical():
 
 def test_missing_host_reader_error_identical():
     errors = []
-    for fastpath in (False, True):
-        ring = Ring(RingGeometry(layers=4, width=2), fastpath=fastpath)
+    for kwargs in _PAIR_KWARGS:
+        ring = make_ring(RingGeometry(layers=4, width=2), **kwargs)
         ring.config.write_switch_route(0, 0, 1, PortSource.host(2))
         with pytest.raises(SimulationError) as excinfo:
             ring.run(10)
@@ -486,9 +490,9 @@ def test_shallow_pipeline_tap_error_identical():
     # raises at port resolution; the compiled plan must raise identically
     # (the fetch stays eager precisely because it is observable).
     errors = []
-    for fastpath in (False, True):
-        ring = Ring(RingGeometry(layers=4, width=2, pipeline_depth=2),
-                    fastpath=fastpath)
+    for kwargs in _PAIR_KWARGS:
+        ring = make_ring(RingGeometry(layers=4, width=2, pipeline_depth=2),
+                         **kwargs)
         ring.config.write_switch_route(0, 0, 1, PortSource.rp(4, 1))
         with pytest.raises(SimulationError) as excinfo:
             ring.run(10)

@@ -17,6 +17,7 @@ from repro.core.ring import Ring, RingGeometry
 from repro.core.switch import PortSource
 
 from tests.core.test_isa import microwords
+from tests.rungs import make_ring
 
 
 def port_sources(width: int = 2):
@@ -94,9 +95,10 @@ def apply_spec(ring: Ring, spec: dict) -> Ring:
 
 
 def build_ring(spec: dict, **ring_kwargs) -> Ring:
-    """A fresh ring of the spec's shape, configured and loaded."""
+    """A fresh ring of the spec's shape, configured and loaded
+    (*ring_kwargs* go to :func:`tests.rungs.make_ring`)."""
     geometry = RingGeometry(layers=spec["layers"], width=spec["width"])
-    return apply_spec(Ring(geometry, **ring_kwargs), spec)
+    return apply_spec(make_ring(geometry, **ring_kwargs), spec)
 
 
 def fuzzed_rings():

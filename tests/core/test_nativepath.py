@@ -28,6 +28,9 @@ from repro.errors import ConfigurationError
 
 REPO = Path(__file__).resolve().parent.parent.parent
 
+#: Every test here drives the fused kernels on short first-visit runs.
+pytestmark = pytest.mark.usefixtures("eager_codegen")
+
 
 @pytest.fixture
 def no_numba(monkeypatch):
@@ -65,7 +68,7 @@ def _mac_program(ring: Ring, layer=0, pos=0) -> None:
 def _twin(build, cycles, **run_kwargs):
     """Run *build* on native and interpreter rings; return both."""
     rn = build(backend="native")
-    ri = build(fastpath=False)
+    ri = build(backend="interpreter")
     rn.run(cycles, **run_kwargs)
     for _ in range(cycles):
         ri.step(**run_kwargs)
@@ -146,7 +149,7 @@ class TestFallbackLadder:
         ring.config.write_switch_route(1, 0, 1, PortSource.up(0))
         ring.config.write_microword(1, 0, MicroWord(
             Opcode.MADD, Source.IN1, Source.SELF, Dest.OUT, imm=3))
-        twin = Ring(RingGeometry(layers=2, width=2), fastpath=False)
+        twin = Ring(RingGeometry(layers=2, width=2), backend="interpreter")
         twin.config.write_switch_route(1, 0, 1, PortSource.up(0))
         twin.config.write_microword(1, 0, MicroWord(
             Opcode.MADD, Source.IN1, Source.SELF, Dest.OUT, imm=3))
@@ -207,7 +210,7 @@ class TestFallbackLadder:
         seen = []
         rn = build(backend="native")
         rn.add_observer(lambda r: seen.append(r.cycles), interval=8)
-        ri = build(fastpath=False)
+        ri = build(backend="interpreter")
         rn.run(40, bus=7)
         for _ in range(40):
             ri.step(bus=7)
@@ -262,7 +265,7 @@ class TestPlanCacheAndSnapshots:
         # Re-adoption skips the interpreted warm-up: all 12 post-restore
         # cycles run on the native plan.
         assert ring.native_cycles == native_before + 12
-        twin = self._build(fastpath=False)
+        twin = self._build(backend="interpreter")
         for _ in range(32):
             twin.step(bus=7)
         assert state_digest(ring) == state_digest(twin)
@@ -274,7 +277,7 @@ class TestPlanCacheAndSnapshots:
         ring.run(10, bus=7)
         ring.set_backend("native")
         ring.run(10, bus=7)
-        twin = self._build(fastpath=False)
+        twin = self._build(backend="interpreter")
         for _ in range(30):
             twin.step(bus=7)
         assert state_digest(ring) == state_digest(twin)
@@ -374,10 +377,10 @@ class TestBackendRegistry:
         )
 
     def test_conformance_matrix_covers_every_backend(self):
-        from tests.kernels.conftest import ENGINES
+        from tests.kernels.conftest import ENGINES, make_ring
         backends = set()
         for kwargs in ENGINES.values():
-            ring = Ring(RingGeometry(layers=2, width=2), **kwargs)
+            ring = make_ring(RingGeometry(layers=2, width=2), kwargs)
             backends.add(ring.backend)
         assert backends == set(Ring.BACKEND_REGISTRY)
 
@@ -401,7 +404,7 @@ class TestHostStreams:
             return lambda ch: sig[ring.cycles % len(sig)]
 
         rn = build(backend="native")
-        ri = build(fastpath=False)
+        ri = build(backend="interpreter")
         rn.run(40, host_in=host_of(rn))
         for _ in range(40):
             ri.step(host_in=host_of(ri))

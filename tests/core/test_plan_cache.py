@@ -24,7 +24,8 @@ from repro.analysis.metrics import collect_metrics
 from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.plancache import PlanCache
-from repro.core.ring import Ring, RingGeometry, make_ring
+from repro.core.ring import (DEFERRED_CODEGEN, FIRST_VISIT_CODEGEN_CYCLES,
+                             Ring, RingGeometry, make_ring)
 from repro.core.switch import PortSource
 from repro.errors import ConfigurationError
 
@@ -339,12 +340,95 @@ class TestRestoreReadoption:
             "evictions": 0}
 
 
+class TestPlanCacheThrash:
+    """``plan_cache=N`` holds N configurations, fused kernels included:
+    the kernels live on their configuration's plan, so they never
+    compete with plans for cache slots."""
+
+    N = 4
+
+    @staticmethod
+    def _configure(ring: Ring, k: int) -> None:
+        """Configuration *k*: a native-eligible scaler for even *k*; odd
+        *k* adds a self-recurrence, which only the macro kernel fuses."""
+        ring.config.write_microword(0, 0, MicroWord(
+            Opcode.MUL, Source.BUS, Source.IMM, Dest.OUT, imm=k + 1))
+        ring.config.write_microword(0, 1, MicroWord(
+            Opcode.ADD, Source.SELF, Source.IMM, Dest.OUT, imm=k)
+            if k % 2 else MicroWord(Opcode.NOP))
+
+    def test_cycling_n_configurations_compiles_each_once(self,
+                                                        monkeypatch):
+        from repro.core import ring as ring_module
+        compiles = []
+        for name in ("try_native", "compile_macro"):
+            def counting(ring, _real=getattr(ring_module, name),
+                         _name=name):
+                compiles.append((_name, ring.config_fingerprint()))
+                return _real(ring)
+            monkeypatch.setattr(ring_module, name, counting)
+        ring = make_ring(8, plan_cache=self.N)
+        for _round in range(3):
+            for k in range(self.N):
+                self._configure(ring, k)
+                ring.run(200, bus=3)
+        assert ring.plan_compiles == self.N
+        assert ring.plan_cache.evictions == 0
+        assert len(compiles) == len(set(compiles)), "a kernel recompiled"
+        tiers = [name for name, _fingerprint in compiles]
+        assert tiers.count("try_native") == self.N
+        assert tiers.count("compile_macro") == self.N // 2
+        assert ring.native_compiles == self.N // 2
+        assert ring.native_cycles > 0 and ring.macro_cycles > 0
+
+
+class TestFirstVisitCodegen:
+    """A span on a configuration's first visit generates fused kernels
+    only when it is long enough to pay for them; a configuration that
+    comes back through the plan cache generates them at any length."""
+
+    SHORT = FIRST_VISIT_CODEGEN_CYCLES // 4
+
+    def _ring(self, **kwargs) -> Ring:
+        ring = make_ring(8, **kwargs)
+        TestPlanCacheThrash._configure(ring, 0)  # native-eligible
+        return ring
+
+    def test_short_first_visit_runs_the_plan(self):
+        ring = self._ring()
+        ring.run(self.SHORT, bus=3)
+        assert ring._plan is not None and ring._plan.kernels == {}
+        assert ring.native_cycles == ring.macro_cycles == 0
+        assert DEFERRED_CODEGEN in ring.engine_fallbacks
+
+    def test_long_first_visit_fuses(self):
+        ring = self._ring()
+        ring.run(2 * FIRST_VISIT_CODEGEN_CYCLES, bus=3)
+        assert ring.native_compiles == 1
+        assert ring.native_cycles > 0
+
+    def test_revisit_fuses_short_spans(self):
+        ring = self._ring()
+        for k in (0, 2, 0):
+            TestPlanCacheThrash._configure(ring, k)
+            ring.run(self.SHORT, bus=3)
+        assert ring.native_compiles == 1
+        assert ring.native_cycles == self.SHORT
+
+    def test_cache_off_short_spans_never_fuse(self):
+        ring = self._ring(plan_cache=0)
+        for k in (0, 2, 0, 2):
+            TestPlanCacheThrash._configure(ring, k)
+            ring.run(self.SHORT, bus=3)
+        assert ring.native_compiles == 0
+        assert ring.native_cycles == ring.macro_cycles == 0
+
+
 class TestBatchSizeOneRouting:
-    """Satellite: B=1 batch mode must ride the scalar fast path."""
+    """B=1 batch mode rides the scalar compiled ladder."""
 
     def test_b1_uses_scalar_plan_not_engine(self):
         ring = make_ring(8, backend="batch", batch_size=1)
-        assert ring.fastpath_enabled
         _configure(ring, "a")
         ring.run(8)
         assert ring._batch_engine is None, "no vector engine at B=1"
@@ -375,10 +459,11 @@ class TestBatchSizeOneRouting:
 
     def test_b1_batch_size_bump_uses_engine(self):
         ring = make_ring(8, backend="batch", batch_size=2)
-        assert not ring.fastpath_enabled
+        assert not ring.adopt_cached_plan(), "no scalar plan at B>1"
         _configure(ring, "a")
         ring.run(4)
         assert ring._batch_engine is not None
+        assert ring._plan is None
 
     def test_batch_kernel_cache_hits_across_churn(self):
         ring = make_ring(8, backend="batch", batch_size=2)

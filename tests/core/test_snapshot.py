@@ -107,11 +107,14 @@ from tests.core.test_fuzz import build_ring, ring_specs  # noqa: E402
 
 _ENGINE_KWARGS = [
     dict(backend="interpreter"),
-    dict(backend="fastpath"),
-    dict(backend="fastpath", macro_step=3),
+    dict(),
+    dict(rung="fastpath"),
+    dict(rung="macro"),
+    dict(rung="native"),
     dict(backend="batch", batch_size=4),
 ]
-_ENGINE_IDS = ["interpreter", "fastpath", "macro", "batch"]
+_ENGINE_IDS = ["interpreter", "ladder", "fastpath", "macro", "native",
+               "batch"]
 
 
 class TestRoundTripProperty:
@@ -198,8 +201,7 @@ class TestObservabilityRoundTrip:
         # busy_ring() twins share a configuration, so the target's cache
         # already holds the plan for the restored fingerprint and the
         # restore re-adopts it eagerly — without a recompile.
-        cached = target.plan_cache.get(
-            ("plan", target.config_fingerprint()))
+        cached = target.plan_cache.get(target.config_fingerprint())
         assert target._plan is cached is not None
 
     def test_restore_to_unknown_config_leaves_no_plan(self):

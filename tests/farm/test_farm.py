@@ -162,6 +162,22 @@ class TestJobExecutor:
         assert len(executor._rings) == 1, "one persistent ring per shape"
         assert warm.taps == cold.taps and warm.digest == cold.digest
 
+    def test_first_visit_counts_one_miss_and_defers_codegen(self):
+        """A cold job looks its plane up once (one miss) and, its
+        24-cycle window being short, generates no fused kernel; the
+        same plane's next job is a revisit and generates one."""
+        executor = JobExecutor()
+        first = executor.execute(fir_job())["result"]
+        ring = next(iter(executor._rings.values()))
+        assert ring.plan_cache.misses == 1
+        assert first.plan_compiles == 1
+        assert ring._plan.kernels == {}, "first visit compiled a kernel"
+        second = executor.execute(fir_job())["result"]
+        assert second.warm and second.taps == first.taps
+        assert ring.plan_cache.misses == 1
+        assert ring.native_compiles == 1, "the revisit compiled no kernel"
+        assert ring.native_cycles == 24
+
     def test_context_switch_a_b_a_stays_bit_identical(self):
         # Resident-plane regression net: alternating planes must force a
         # real reconfiguration each switch, and coming back to plane A

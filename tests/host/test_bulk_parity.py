@@ -21,7 +21,7 @@ from repro.core.ring import FIRST_VISIT_CODEGEN_CYCLES, Ring, RingGeometry
 from repro.core.switch import PortSource
 from repro.host.system import RingSystem
 
-from tests.kernels.conftest import ENGINES, fabric_state
+from tests.kernels.conftest import ENGINES, fabric_state, make_ring
 
 GEOMETRY = RingGeometry(layers=4, width=2)
 
@@ -66,7 +66,7 @@ def _configure(ring: Ring) -> None:
 
 
 def _system(kwargs) -> RingSystem:
-    ring = Ring(GEOMETRY, **kwargs)
+    ring = make_ring(GEOMETRY, kwargs)
     _configure(ring)
     return RingSystem(ring)
 
@@ -241,7 +241,7 @@ class TestParity:
         _step(stepped, cycles)
         assert full_state(bulk) == full_state(stepped)
         ring = bulk.ring
-        if name == "native":
+        if name in ("native", "ladder"):
             assert nativepath.compile_native(ring) is not None
             assert ring.native_cycles > 0
         if name == "macro":
@@ -252,7 +252,7 @@ class TestParity:
         name, kwargs = engine
         bulk, stepped = _twins(kwargs)
         plane = bulk.ring.config.capture_plane()
-        other = Ring(GEOMETRY, fastpath=False).config.capture_plane()
+        other = Ring(GEOMETRY, backend="interpreter").config.capture_plane()
         for round_ in range(3):
             for system in (bulk, stepped):
                 system.ring.config.apply_plane(other)
@@ -269,10 +269,35 @@ class TestParity:
             assert full_state(bulk) == full_state(stepped)
             for system in (bulk, stepped):
                 system.data.taps.clear()
-        if name == "native":
+        if name in ("native", "ladder"):
             assert bulk.ring.native_cycles > 0
         if name == "macro":
             assert bulk.ring.macro_cycles > 0
+
+    def test_plane_revisit_lifts_ladder_codegen_deferral(self):
+        """On the ladder, a short window generates no kernel on a
+        plane's first visit, and does once the plane comes back through
+        a plan-cache hit."""
+        bulk, stepped = _twins({})
+        plane = bulk.ring.config.capture_plane()
+        other = Ring(GEOMETRY, backend="interpreter").config.capture_plane()
+        native = []
+        for round_ in range(2):
+            for system in (bulk, stepped):
+                system.ring.config.apply_plane(other)
+                _stream(system, 0, _words(4, round_))
+            bulk.run(4)
+            _step(stepped, 4)
+            for system in (bulk, stepped):
+                system.ring.config.apply_plane(plane)
+                _stream(system, 0, _words(24, round_))
+                _stream(system, 1, _words(20, round_ + 1))
+            bulk.run(24)
+            _step(stepped, 24)
+            assert full_state(bulk) == full_state(stepped)
+            native.append(bulk.ring.native_cycles)
+        assert native[0] == 0, "first visit generated a kernel"
+        assert native[1] > 0, "the revisit never fused"
 
 
 tap_specs = st.lists(

@@ -204,7 +204,7 @@ class TestPipelineEngineMatrix:
         ring = make_ring(SYNTH_GEOMETRY, kwargs)
         result = run_synth_voice(ENVELOPE[:48], FCW_A, FCW_B, ECHO_GAIN,
                                  chunk=16, ring=ring)
-        twin = make_ring(SYNTH_GEOMETRY, {"fastpath": False})
+        twin = make_ring(SYNTH_GEOMETRY, {"backend": "interpreter"})
         want = run_synth_voice(ENVELOPE[:48], FCW_A, FCW_B, ECHO_GAIN,
                                chunk=16, ring=twin)
         assert result.outputs == want.outputs, (
@@ -217,7 +217,7 @@ class TestPipelineEngineMatrix:
         ring = make_ring(EFFECTS_GEOMETRY, kwargs)
         result = run_effects_chain(SIGNAL[:48], MASTER_GAIN, ECHO_GAIN,
                                    chunk=16, ring=ring)
-        twin = make_ring(EFFECTS_GEOMETRY, {"fastpath": False})
+        twin = make_ring(EFFECTS_GEOMETRY, {"backend": "interpreter"})
         want = run_effects_chain(SIGNAL[:48], MASTER_GAIN, ECHO_GAIN,
                                  chunk=16, ring=twin)
         assert result.outputs == want.outputs, (

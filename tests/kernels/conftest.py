@@ -1,17 +1,18 @@
 """Shared engine parametrization for the golden-kernel suites.
 
-Every execution backend the repo ships is described once, here, and the
-``engine`` fixture parametrizes any test that requests it over all of
-them.  A kernel test written against the fixture therefore becomes one
-*row* of the cross-engine x kernel conformance matrix: the same golden
-recipe, bit-identical on the interpreter, the compiled fast path, the
-native macro-kernel tier, the macro-stepped interpreter and both lane
-backends.
+Every engine rung the repo ships is described once, in
+:data:`tests.rungs.RUNGS`, and the ``engine`` fixture parametrizes any
+test that requests it over all of them.  A kernel test written against
+the fixture therefore becomes one *row* of the cross-engine x kernel
+conformance matrix: the same golden recipe, bit-identical on the
+interpreter, the per-cycle plan, the macro kernel, the native kernel,
+the lane backend and the default ring, which climbs the compiled ladder
+itself.
 
 Helpers:
 
-* :func:`make_ring` — build a ring of the given geometry under the
-  engine's constructor kwargs;
+* :func:`make_ring` — build a ring of the given geometry running the
+  engine;
 * :func:`tap_samples` — lane-0 samples of a tap regardless of whether it
   is a scalar :class:`~repro.host.streams.OutputTap` or a
   :class:`~repro.host.streams.BatchOutputTap`;
@@ -25,17 +26,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.ring import Ring, RingGeometry
+from tests import rungs
 
-#: name -> Ring constructor kwargs, one entry per execution engine.
-#: ``tests/core/test_nativepath.py`` asserts this stays in sync with
-#: :attr:`Ring.BACKEND_REGISTRY`.
-ENGINES = {
-    "interpreter": {"fastpath": False},
-    "fastpath": {},
-    "native": {"backend": "native"},
-    "macro": {"macro_step": 4},
-    "batch": {"backend": "batch", "batch_size": 2},
-}
+#: name -> :func:`tests.rungs.make_ring` kwargs, one entry per engine
+#: rung plus the default ladder.  ``tests/core/test_nativepath.py``
+#: asserts every :attr:`Ring.BACKEND_REGISTRY` backend has a column.
+ENGINES = rungs.RUNGS
 
 
 @pytest.fixture(params=sorted(ENGINES))
@@ -46,7 +42,7 @@ def engine(request):
 
 def make_ring(geometry: RingGeometry, engine_kwargs: dict) -> Ring:
     """A fresh ring of *geometry* running the given engine."""
-    return Ring(geometry, **engine_kwargs)
+    return rungs.make_ring(geometry, **engine_kwargs)
 
 
 def tap_samples(tap):

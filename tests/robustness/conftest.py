@@ -1,10 +1,10 @@
 """Shared fixtures for the robustness suite.
 
-``ENGINES`` parameterizes tests over all four execution engines; the
-``busy_factory`` builds identically configured rings with every kind of
-live state (registers, OUT chains, feedback pipeline taps, FIFO
-backlogs, a mid-loop local program), so faults have real state to land
-in and recovery is exercised end to end.
+``ENGINES`` parameterizes tests over every engine rung and the default
+ladder; the ``busy_factory`` builds identically configured rings with
+every kind of live state (registers, OUT chains, feedback pipeline taps,
+FIFO backlogs, a mid-loop local program), so faults have real state to
+land in and recovery is exercised end to end.
 """
 
 import pytest
@@ -13,19 +13,23 @@ from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.ring import Ring, RingGeometry
 from repro.core.switch import PortSource
+from tests.rungs import make_ring
 
-#: (id, Ring kwargs) for each execution engine.
+#: (id, :func:`tests.rungs.make_ring` kwargs) for each engine rung, and
+#: for the default ring that climbs them itself.
 ENGINES = [
     ("interpreter", dict(backend="interpreter")),
-    ("fastpath", dict(backend="fastpath")),
-    ("macro", dict(backend="fastpath", macro_step=2)),
+    ("ladder", dict()),
+    ("fastpath", dict(rung="fastpath")),
+    ("macro", dict(rung="macro")),
+    ("native", dict(rung="native")),
     ("batch", dict(backend="batch", batch_size=4)),
 ]
 
 
 def make_busy_ring(**kwargs) -> Ring:
     """A 3x2 ring with live state in every fault-site category."""
-    ring = Ring(RingGeometry(layers=3, width=2), **kwargs)
+    ring = make_ring(RingGeometry(layers=3, width=2), **kwargs)
     cfg = ring.config
     # d0.0 accumulates its IN1 port — the Rp(2,1) feedback tap routed
     # below — so corruption anywhere in switch 0's pipeline lands in

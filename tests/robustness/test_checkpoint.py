@@ -92,7 +92,7 @@ class TestRollbackReplay:
 
 class TestGracefulDegradation:
     def test_disable_parks_on_nop_and_invalidates(self):
-        ring = make_busy_ring(backend="fastpath")
+        ring = make_busy_ring()
         ring.run(6)
         assert ring._plan is not None
         disable_dnode(ring, 0, 0)
@@ -131,7 +131,7 @@ class TestGracefulDegradation:
         assert report["throughput_loss_percent"] > 0
 
     def test_degraded_fabric_still_runs(self):
-        ring = make_busy_ring(backend="fastpath")
+        ring = make_busy_ring()
         ring.run(10)
         disable_dnode(ring, 0, 0)
         remap_around(ring, 0, 0)

@@ -121,16 +121,16 @@ class TestRunCommand:
 
 
 class TestRunPlanCacheFlags:
-    def test_plan_cache_and_macro_step_applied(self, ring_obj, capsys):
+    def test_plan_cache_applied_and_ladder_fuses(self, ring_obj, capsys):
         import json
         metrics = ring_obj.parent / "cache.json"
-        code = main(["run", str(ring_obj),
-                     "--plan-cache", "4", "--macro-step", "8",
+        code = main(["run", str(ring_obj), "--plan-cache", "4",
                      "--cycles", "200", "--metrics", str(metrics)])
         assert code == 0
         assert "ran 200 cycles" in capsys.readouterr().out
         data = json.loads(metrics.read_text())
-        assert data["macro_step_cycles_total"] > 0
+        assert (data["native_cycles_total"]
+                + data["macro_step_cycles_total"]) > 0
         assert "plan_cache_hits_total" in data
         assert "plan_cache_misses_total" in data
         assert "plan_cache_evictions_total" in data
@@ -149,12 +149,6 @@ class TestRunPlanCacheFlags:
 
     def test_plan_cache_rejects_negative(self, ring_obj, capsys):
         code = main(["run", str(ring_obj), "--plan-cache", "-1",
-                     "--cycles", "5"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_macro_step_rejects_negative(self, ring_obj, capsys):
-        code = main(["run", str(ring_obj), "--macro-step", "-3",
                      "--cycles", "5"])
         assert code == 1
         assert "error:" in capsys.readouterr().err

@@ -38,8 +38,8 @@ from tests.rungs import make_ring
 BENCH_PATH = Path(__file__).resolve().parent.parent / \
     "BENCH_scenarios.json"
 
-#: Engine sweep for the per-kernel table (the batch backend is covered
-#: by ``BENCH_batch.json`` on its own terms).
+#: Engine sweep for the per-kernel table (lane rings are covered by
+#: ``BENCH_batch.json`` on their own terms).
 ENGINES = {
     "interpreter": {"backend": "interpreter"},
     "fastpath": {"rung": "fastpath"},

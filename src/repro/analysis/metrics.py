@@ -170,13 +170,13 @@ class MetricsRegistry:
              ring.plan_invalidations),
             ("plan_cache_hits_total", "counter",
              "Compiled plans re-adopted from the fingerprint cache.",
-             self._cache_counter("hits")),
+             ring.plan_cache.hits),
             ("plan_cache_misses_total", "counter",
              "Fingerprint cache lookups that found no plan.",
-             self._cache_counter("misses")),
+             ring.plan_cache.misses),
             ("plan_cache_evictions_total", "counter",
              "Cached plans evicted by the LRU capacity bound.",
-             self._cache_counter("evictions")),
+             ring.plan_cache.evictions),
             ("macro_step_cycles_total", "counter",
              "Cycles executed inside fused macro kernels.",
              getattr(ring, "macro_cycles", 0)),
@@ -230,18 +230,6 @@ class MetricsRegistry:
             "Steady spans a fused rung (macro/native) refused, by named "
             "reason: the tier's ineligibility or deferred codegen.",
             samples)]
-
-    def _cache_counter(self, attr: str) -> int:
-        """One plan-cache counter summed over the ring's cache and the
-        batch engine's kernel cache (both key by the same fingerprints)."""
-        total = 0
-        cache = getattr(self.ring, "plan_cache", None)
-        if cache is not None:
-            total += getattr(cache, attr)
-        engine = getattr(self.ring, "_batch_engine", None)
-        if engine is not None:
-            total += getattr(engine.plan_cache, attr)
-        return total
 
     def _dnode_metrics(self) -> List[Metric]:
         dnodes = self.ring.all_dnodes()
@@ -301,53 +289,41 @@ class MetricsRegistry:
         ]
 
     def _batch_metrics(self) -> List[Metric]:
-        """Per-lane counters of the batch backend (empty when inactive).
+        """Per-lane counters of a lane ring (empty on a scalar ring).
 
-        The scalar ``ring_*`` metrics always mirror lane 0 (that is the
-        batch engine's writeback contract); these add the cross-lane
-        view: per-lane samples labelled ``lane=<i>`` plus an aggregate
-        sum over every lane, so multi-stream serving dashboards see both
-        the distribution and the total.
+        The scalar ``ring_*`` and ``dnode_*`` metrics describe the ring's
+        own datapath, lane 0; these add the cross-lane view: per-lane
+        samples labelled ``lane=<i>`` plus an aggregate sum over every
+        lane, so multi-stream serving dashboards see both the
+        distribution and the total.
         """
-        engine = getattr(self.ring, "_batch_engine", None)
-        if engine is None:
+        lanes = getattr(self.ring, "lanes", None)
+        if lanes is None:
             return []
-        lanes = engine.batch
-        underflow_samples = tuple(
-            ((("lane", str(lane)),), float(engine.lane_underflows[lane]))
-            for lane in range(lanes)
-        )
-        pop_totals = [0] * lanes
-        for counts in engine.lane_fifo_pops.values():
-            for lane in range(lanes):
-                pop_totals[lane] += int(counts[lane])
-        pop_samples = tuple(
-            ((("lane", str(lane)),), float(pop_totals[lane]))
-            for lane in range(lanes)
-        )
+        states = [lanes.state(lane) for lane in range(lanes.size)]
+        underflows = [state.fifo_underflows for state in states]
+        pops = [state.fifo_pops for state in states]
         scalar = [
             ("batch_lanes", "gauge",
-             "Independent streams advanced per batch step.", lanes),
-            ("batch_plan_compiles_total", "counter",
-             "Batch kernel sets compiled.", engine.compiles),
-            ("batch_plan_invalidations_total", "counter",
-             "Batch kernel sets dropped by reconfiguration.",
-             engine.invalidations),
+             "Independent streams advanced per span.", lanes.size),
             ("batch_fifo_underflows_total", "counter",
-             "FIFO underflows summed across every lane.",
-             float(engine.lane_underflows.sum())),
+             "FIFO underflows summed across every lane.", sum(underflows)),
             ("batch_fifo_pops_total", "counter",
              "Words dequeued from input FIFOs summed across every lane.",
-             float(sum(pop_totals))),
+             sum(pops)),
         ]
         metrics = [Metric(name, kind, help_, (((), float(value)),))
                    for name, kind, help_, value in scalar]
         metrics.append(Metric(
             "batch_lane_fifo_underflows_total", "counter",
-            "FIFO underflows of one lane.", underflow_samples))
+            "FIFO underflows of one lane.",
+            tuple(((("lane", str(lane)),), float(count))
+                  for lane, count in enumerate(underflows))))
         metrics.append(Metric(
             "batch_lane_fifo_pops_total", "counter",
-            "Words dequeued from input FIFOs of one lane.", pop_samples))
+            "Words dequeued from input FIFOs of one lane.",
+            tuple(((("lane", str(lane)),), float(count))
+                  for lane, count in enumerate(pops))))
         return metrics
 
     def _autotune_metrics(self) -> List[Metric]:

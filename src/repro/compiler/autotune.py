@@ -545,7 +545,7 @@ def fuzz_conformance(rounds: int = 16, seed: int = 2002,
     Each round mutates a corpus genome into a fresh graph, compiles it
     under :data:`FUZZ_MAPPINGS`, executes every compiled candidate on
     every :data:`FUZZ_ENGINES` ring, and bit-compares all outputs (every
-    lane of the lane engines) against the golden evaluator.  A mutant
+    lane of a lane ring) against the golden evaluator.  A mutant
     that reaches a new coverage signature — (opcode set, depth, width,
     mode, lane order) — joins the corpus, steering the walk toward
     unexplored mapping shapes.  Deterministic for a given *seed*.

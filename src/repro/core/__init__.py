@@ -9,6 +9,8 @@ build and run a fabric:
 * :class:`~repro.core.switch.Switch` — inter-layer interconnect with
   feedback pipelines.
 * :class:`~repro.core.ring.Ring` — the full fabric plus clock engine.
+* :class:`~repro.core.lanes.LaneStore` / :class:`~repro.core.lanes.LaneState`
+  — the lanes of a ``backend="batch"`` ring.
 """
 
 from repro.core.isa import (
@@ -29,7 +31,7 @@ from repro.core.config_memory import ConfigMemory, ConfigPlane
 from repro.core.address_map import AddressMap
 from repro.core.snapshot import RingSnapshot, capture, restore
 from repro.core.ring import Ring, RingGeometry
-from repro.core.batchpath import BatchRing, batch_execute_op
+from repro.core.lanes import LaneState, LaneStore
 
 __all__ = [
     "Flag",
@@ -55,6 +57,6 @@ __all__ = [
     "restore",
     "Ring",
     "RingGeometry",
-    "BatchRing",
-    "batch_execute_op",
+    "LaneState",
+    "LaneStore",
 ]

@@ -10,7 +10,7 @@ All values are raw 16-bit bus words (see :mod:`repro.word`).  Signed
 interpretation is two's complement.
 
 The scalar handlers are the reference semantics.  The engines that
-generate code (macro, native and batch) instead read
+generate code (macro and native) instead read
 :data:`EXPRESSIONS`, one expression template per opcode, rendered by
 :func:`render_expr` as scalar Python or as NumPy.  Adding an opcode means
 an :class:`~repro.core.isa.Opcode` entry, a handler here and a template

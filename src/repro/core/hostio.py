@@ -27,8 +27,9 @@ Every engine consumes the same window: the interpreter and the
 per-cycle plan call it as a host reader and append tap samples after
 each commit; the macro kernel indexes the word lists by cycle and
 appends inline; the native kernel slices the word arrays and the
-per-Dnode visible-out arrays it already builds; the batch engine reads
-per-lane rows and records per-lane OUT rows.
+per-Dnode visible-out arrays it already builds.  A lane port carries one
+column of words and one tap history per lane; a lane ring runs each lane
+through its own scalar view of the window (:meth:`HostWindow.lane`).
 """
 
 from __future__ import annotations
@@ -50,20 +51,22 @@ class HostWindow:
             list of ints (one per cycle offset) on a scalar port, an
             ``(n, lanes)`` array on a lane port.
         history: ``{(layer, position): samples}`` — the tapped Dnode's
-            post-commit OUT after each executed cycle, ints on a scalar
-            port and ``(lanes,)`` arrays on a lane port.
-        lanes: True for a lane (batch) port.
+            post-commit OUT after each executed cycle: a list of ints on
+            a scalar port, one such list per lane on a lane port.
+        lanes: the lane count of a lane (batch) port, 0 on a scalar one.
     """
 
     __slots__ = ("ring", "base", "words", "history", "lanes", "_arrays")
 
     def __init__(self, ring, words: Dict[int, Sequence],
-                 taps: Sequence[TapKey], lanes: bool = False):
+                 taps: Sequence[TapKey], lanes: int = 0):
         self.ring = ring
         self.base = ring.cycles
         self.words = words
         self.lanes = lanes
-        self.history: Dict[TapKey, List] = {key: [] for key in taps}
+        self.history: Dict[TapKey, List] = {
+            key: [[] for _ in range(lanes)] if lanes else []
+            for key in taps}
         self._arrays: Dict[int, np.ndarray] = {}
 
     def __call__(self, channel: int):
@@ -85,18 +88,23 @@ class HostWindow:
         return tuple((ring._dnodes[l][p], samples.append)
                      for (l, p), samples in self.history.items())
 
-    def lane_recorders(self, outs: np.ndarray) -> Tuple[tuple, ...]:
-        """``(out row view, record)`` pairs for the batch engine: after
-        each commit it calls ``record(view)``, which keeps a copy of the
-        tapped Dnode's lane OUTs (lane 0 alone on a scalar port)."""
-        pairs = []
-        for (l, p), samples in self.history.items():
-            if self.lanes:
-                record = (lambda row, _a=samples.append: _a(row.copy()))
-            else:
-                record = (lambda row, _a=samples.append: _a(int(row[0])))
-            pairs.append((outs[l, p], record))
-        return tuple(pairs)
+    def lane(self, index: int) -> "HostWindow":
+        """Lane *index*'s scalar window over the same span, starting at
+        the current ``ring.cycles``: its column of every lane port's
+        words, its own tap histories.  A scalar port presents the same
+        words to every lane and records lane 0's taps only."""
+        if self.lanes:
+            words = {channel: column[:, index].tolist()
+                     for channel, column in self.words.items()}
+            history = {key: lanes[index]
+                       for key, lanes in self.history.items()}
+        else:
+            words = self.words
+            history = (self.history if index == 0
+                       else {key: [] for key in self.history})
+        window = HostWindow(self.ring, words, ())
+        window.history = history
+        return window
 
 
 class HostPort:

@@ -3,8 +3,8 @@
 The paper's headline feature is *dynamic* reconfiguration: the RISC
 configuration controller rewrites Dnode microinstructions every cycle
 (hardware multiplexing) or swaps between a small working set of contexts.
-Compiled engines (per-cycle plans with their fused macro/native kernels,
-batch kernel sets) are pure functions of the fabric *configuration* — they close over the
+Compiled engines (per-cycle plans with their fused macro/native kernels)
+are pure functions of the fabric *configuration* — they close over the
 persistent state containers (register lists, OUT latches, FIFO deques,
 pipeline buffers) and read the runtime values through them — so a plan
 compiled for a configuration stays valid whenever that exact

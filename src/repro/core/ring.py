@@ -46,6 +46,9 @@ Two execution engines drive the same semantics:
   the plan, so reconfiguration always takes effect on the very next
   cycle.
 
+A ``backend="batch"`` ring runs B independent lanes over the same
+ladder, one lane after another (:mod:`repro.core.lanes`).
+
 Compiled plans, together with their fused kernels, are retained in an
 LRU :class:`~repro.core.plancache.PlanCache` keyed by
 :meth:`Ring.config_fingerprint` (see ``docs/architecture.md``, "Plan
@@ -67,6 +70,7 @@ from repro.core.dnode import Dnode, DnodeInputs, DnodeMode
 from repro.core.fastpath import compile_plan
 from repro.core.hostio import HostPort, HostWindow
 from repro.core.isa import FEEDBACK_DEPTH
+from repro.core.lanes import LaneStore
 from repro.core.macropath import compile_macro
 from repro.core.nativepath import try_native
 from repro.core.plancache import DEFAULT_CAPACITY, Ineligible, PlanCache
@@ -174,15 +178,16 @@ class RingProfile:
     """Wall-clock accounting of one :meth:`Ring.profile` session.
 
     Every engine rung gets its own cycle count and seconds: the
-    interpreter, the per-cycle fast-path plan, fused macro kernels,
-    time-vectorized native kernels and the batch lane engine.  Plan
-    compilation is booked separately, so a workload's coverage of each
-    rung (and the compile overhead paid for it) is directly measurable.
+    interpreter, the per-cycle fast-path plan, fused macro kernels and
+    time-vectorized native kernels.  On a lane ring each lane's cycles
+    are booked on the rung that ran them.  Plan compilation is booked
+    separately, so a workload's coverage of each rung (and the compile
+    overhead paid for it) is directly measurable.
     """
 
     #: Engine rungs, slowest first; each has ``<rung>_cycles`` and
     #: ``<rung>_seconds`` fields.
-    RUNGS = ("interpreted", "fastpath", "macro", "native", "batch")
+    RUNGS = ("interpreted", "fastpath", "macro", "native")
 
     interpreted_cycles: int = 0
     interpreted_seconds: float = 0.0
@@ -192,8 +197,6 @@ class RingProfile:
     macro_seconds: float = 0.0
     native_cycles: int = 0
     native_seconds: float = 0.0
-    batch_cycles: int = 0
-    batch_seconds: float = 0.0
     plan_compiles: int = 0
     compile_seconds: float = 0.0
 
@@ -210,7 +213,7 @@ class RingProfile:
         """Cycles executed by any compiled rung (everything but the
         interpreter)."""
         return (self.fastpath_cycles + self.macro_cycles
-                + self.native_cycles + self.batch_cycles)
+                + self.native_cycles)
 
     @property
     def total_cycles(self) -> int:
@@ -301,7 +304,8 @@ class Ring:
         "native": "compiled ladder: time-vectorized NumPy kernels "
                   "(optional Numba jit), fused macro kernels, "
                   "per-cycle plans",
-        "batch": "lane-vectorized NumPy engine over batch_size streams",
+        "batch": "batch_size independent lanes, each run on the "
+                 "compiled ladder",
     }
 
     #: Valid values of the ``backend`` selector.
@@ -332,11 +336,6 @@ class Ring:
         self.geometry = geometry
         self.strict_fifos = strict_fifos
         self._check_backend(backend, batch_size)
-        # The scalar ladder also backs batch mode at B=1: one lane of
-        # NumPy-array indexing is strictly slower than the scalar plan
-        # (~6x in BENCH_batch.json), and the lane-0 writeback contract is
-        # trivially the scalar state itself.  The vector engine is only
-        # engaged at B>1 or once `ring.batch` has been handed out.
         self.backend = backend
         self.batch_size = batch_size
         #: Configuration-fingerprinted LRU cache of compiled plans, each
@@ -421,65 +420,37 @@ class Ring:
         # hardware multiplexing never pays compile overhead).
         self._plan = None
         self._config_dirty = True
-        #: Extra callbacks fired on every configuration mutation (the
-        #: batch engine hooks in here, reusing the fast-path wiring).
-        self._invalidation_listeners: List[Callable[[], None]] = []
-        #: Lazily created batch engine (backend == "batch" only).
-        self._batch_engine = None
         for layer_dnodes in self._dnodes:
             for dn in layer_dnodes:
                 dn.on_config_change = self._invalidate_fastpath
         for sw in self._switches:
             sw.config.on_change = self._invalidate_fastpath
+        #: Lanes 1..B-1 of a ``backend="batch"`` ring (None otherwise);
+        #: the ring's own datapath is lane 0.
+        self.lanes: Optional[LaneStore] = (
+            LaneStore(self, batch_size) if backend == "batch" else None)
 
     # ------------------------------------------------------------------
     # Backend selection
     # ------------------------------------------------------------------
 
-    @property
-    def batch(self):
-        """The attached :class:`~repro.core.batchpath.BatchRing` engine.
-
-        Only meaningful with ``backend="batch"``; created lazily (the
-        first access broadcasts the ring's current scalar state across
-        the lanes).
-        """
-        if self.backend != "batch":
-            raise ConfigurationError(
-                f"ring backend is {self.backend!r}, not 'batch'"
-            )
-        return self._ensure_batch()
-
-    def _ensure_batch(self):
-        if self._batch_engine is None:
-            from repro.core.batchpath import BatchRing
-            self._batch_engine = BatchRing(self, self.batch_size)
-        return self._batch_engine
-
-    def _lane_engine_active(self) -> bool:
-        """Should step()/run() dispatch to the batch engine this cycle?"""
-        return self.backend == "batch" and (
-            self.batch_size > 1 or self._batch_engine is not None)
-
     def set_backend(self, backend: str,
                     batch_size: Optional[int] = None) -> None:
         """Switch execution engine (any :attr:`BACKEND_REGISTRY` key).
 
-        Safe at any point between cycles: the scalar state always
-        reflects the last committed cycle (the batch engine writes lane
-        0 back after every run), so the new engine picks up exactly
-        where the old one stopped.  Entering batch mode broadcasts that
-        state across *batch_size* lanes; ``"native"`` keeps the scalar
-        state and runs it on the compiled ladder.
+        Safe at any point between cycles: the ring's datapath always
+        reflects the last committed cycle (of lane 0, on a lane ring),
+        so the new engine picks up exactly where the old one stopped.
+        Entering batch mode, or changing the lane count, broadcasts that
+        state across *batch_size* lanes; leaving it keeps lane 0.
         """
         if batch_size is None:
             batch_size = self.batch_size if backend == "batch" else 1
         self._check_backend(backend, batch_size)
-        if self._batch_engine is not None and (
-                backend != "batch"
-                or self._batch_engine.batch != batch_size):
-            self._batch_engine.detach()
-            self._batch_engine = None
+        if backend != "batch":
+            self.lanes = None
+        elif self.lanes is None or self.lanes.size != batch_size:
+            self.lanes = LaneStore(self, batch_size)
         self.backend = backend
         self.batch_size = batch_size
         self._plan = None
@@ -492,23 +463,9 @@ class Ring:
         """Resize (or with 0, disable) the compiled-plan cache.
 
         Replaces the cache, so existing entries and lifetime counters are
-        dropped; the active plan (if any) is unaffected.  The batch
-        engine's kernel cache is resized to match.
+        dropped; the active plan (if any) is unaffected.
         """
         self.plan_cache = PlanCache(capacity)
-        if self._batch_engine is not None:
-            self._batch_engine.set_plan_cache(capacity)
-
-    def add_invalidation_listener(
-            self, listener: Callable[[], None]) -> None:
-        """Hook *listener* into every configuration-mutation event."""
-        self._invalidation_listeners.append(listener)
-
-    def remove_invalidation_listener(
-            self, listener: Callable[[], None]) -> None:
-        self._invalidation_listeners = [
-            l for l in self._invalidation_listeners if l is not listener
-        ]
 
     # ------------------------------------------------------------------
     # Structure access
@@ -560,7 +517,12 @@ class Ring:
 
     def push_fifo(self, layer: int, position: int, channel: int,
                   values) -> None:
-        """Append one or more raw words to a Dnode input FIFO."""
+        """Append one or more raw words to a Dnode input FIFO.
+
+        On a lane ring the words reach every lane (lane-specific loads
+        go through :meth:`LaneStore.push_fifo
+        <repro.core.lanes.LaneStore.push_fifo>`).
+        """
         queue = self.fifo(layer, position, channel)
         if isinstance(values, int):
             values = [values]
@@ -572,10 +534,8 @@ class Ring:
         depth = len(queue)
         if depth > self.fifo_high_water.get(key, 0):
             self.fifo_high_water[key] = depth
-        if self._batch_engine is not None:
-            # Keep the lane FIFOs coherent: a scalar push reaches every
-            # lane (lane-specific loads go through BatchRing.push_fifo).
-            self._batch_engine.push_fifo(layer, position, channel, values)
+        if self.lanes is not None:
+            self.lanes.extend_fifo(key, values)
 
     def _fifo_peek(self, layer: int, position: int, channel: int) -> int:
         queue = self._fifos.get((layer, position, channel))
@@ -742,21 +702,23 @@ class Ring:
             self._trace(self)
 
     def _advance(self, cycles: int, bus: int, host_in) -> None:
-        """Execute *cycles* clocks on the engines, firing no observer.
+        """Execute *cycles* clocks on the engines, firing no observer;
+        a lane ring runs the span once per lane."""
+        if self.lanes is None:
+            self._advance_lane(cycles, bus, host_in)
+        else:
+            self.lanes.run(self._advance_lane, cycles, bus, host_in)
 
-        The lane engine takes the whole span when active.  Otherwise the
-        span is interpreted cycle by cycle until a compiled plan is
+    def _advance_lane(self, cycles: int, bus: int, host_in) -> None:
+        """Execute *cycles* clocks of the ring's own datapath.
+
+        The span is interpreted cycle by cycle until a compiled plan is
         adopted (from the plan cache) or compiled (after one stable
         cycle); the rest runs on the compiled ladder — a single cycle on
         the per-cycle plan, longer spans through :meth:`_run_steady`.
         *host_in* is a per-cycle reader or a :class:`HostWindow`, whose
         tap samples the interpreter records after each commit.
         """
-        if self._lane_engine_active():
-            engine = self._ensure_batch()
-            self._run_rung(engine, "batch", cycles, bus, host_in)
-            engine.store_lane(0)
-            return
         recorders = (host_in.recorders() if type(host_in) is HostWindow
                      else ())
         compiled = self.backend != "interpreter"
@@ -859,8 +821,6 @@ class Ring:
         self._host_channels = None
         self._looked_up = False
         self._config_dirty = True
-        for listener in self._invalidation_listeners:
-            listener()
 
     def config_fingerprint(self) -> tuple:
         """Stable, hashable digest of the full fabric configuration.
@@ -918,10 +878,10 @@ class Ring:
         a compiled plan is active afterwards.  A plan that is still
         active counts as a revisit of its configuration — the caller is
         starting another run on it — which lifts the first-visit codegen
-        deferral.  The interpreter and the vector batch engine never
-        adopt scalar plans, so this is a no-op there.
+        deferral.  The interpreter never adopts plans, so this is a
+        no-op there.
         """
-        if self.backend == "interpreter" or self._lane_engine_active():
+        if self.backend == "interpreter":
             return False
         if self._plan is not None:
             self._revisit = True
@@ -1053,10 +1013,6 @@ class Ring:
         if cycles < 0:
             raise SimulationError(f"cycle count must be >= 0, got {cycles}")
         word.check(bus, "bus value")
-        if self._lane_engine_active():
-            # Engage the lane engine even for an empty run, so lane
-            # state exists from here on (snapshots capture it).
-            self._ensure_batch()
         port = host_in if isinstance(host_in, HostPort) else None
         remaining = cycles
         while remaining > 0:
@@ -1117,8 +1073,7 @@ class Ring:
         * **Cleared** — everything that describes the *run*: ``cycles``,
           per-Dnode :class:`~repro.core.dnode.DnodeStats`, local-sequencer
           counters, ``fifo_underflows``, ``fifo_high_water``,
-          ``last_bus``, and the batch engine's per-lane state (cleared in
-          place, so its compiled lane kernels stay valid).
+          ``last_bus``, and every lane's datapath.
         * **Preserved** — everything that describes the *machine and its
           host*: the configuration and its write counters
           (``config.writes``, per-switch ``config.writes``),
@@ -1128,9 +1083,9 @@ class Ring:
           the plan cache (contents *and* hit/miss/eviction statistics),
           the robustness counters (``faults_injected``, ``checkpoints``,
           ``rollbacks``, ``recovery_cycles``) — and the active compiled
-          plan (scalar or lane): it closes over the stable state
-          containers just cleared in place and the configuration is
-          untouched, so the next step resumes without recompiling.
+          plan: it closes over the stable state containers just cleared
+          in place and the configuration is untouched, so the next step
+          resumes without recompiling.
         """
         for dn in self.all_dnodes():
             dn.reset()
@@ -1142,8 +1097,8 @@ class Ring:
         self.fifo_underflows = 0
         self.fifo_high_water.clear()
         self.last_bus = 0
-        if self._batch_engine is not None:
-            self._batch_engine.reset_lanes()
+        if self.lanes is not None:
+            self.lanes.broadcast()
 
     # ------------------------------------------------------------------
     # Statistics

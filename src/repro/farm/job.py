@@ -36,6 +36,14 @@ TapSpec = Tuple[int, int, Optional[int]]
 #: ``(layer, position, channel, words)`` — a FIFO preload.
 FifoLoad = Tuple[int, int, int, List[int]]
 
+#: Largest cycle budget one job may ask for, which bounds how long a
+#: single job can hold a worker.
+MAX_JOB_CYCLES = 1 << 20
+
+#: Largest fabric one job may ask for, in Dnodes (``layers * width``),
+#: checked before any ring is allocated; twice the 64x8 fabric.
+MAX_JOB_DNODES = 1024
+
 
 @dataclass
 class FarmJob:
@@ -66,9 +74,17 @@ class FarmJob:
         if self.width < 1:
             raise ConfigurationError(
                 f"farm job needs width >= 1, got {self.width}")
+        if self.layers * self.width > MAX_JOB_DNODES:
+            raise ConfigurationError(
+                f"farm job fabric {self.layers}x{self.width} exceeds "
+                f"{MAX_JOB_DNODES} Dnodes")
         if self.cycles < 0:
             raise ConfigurationError(
                 f"farm job cycle budget must be >= 0, got {self.cycles}")
+        if self.cycles > MAX_JOB_CYCLES:
+            raise ConfigurationError(
+                f"farm job cycle budget {self.cycles} exceeds "
+                f"{MAX_JOB_CYCLES}")
         if not isinstance(self.plane, ConfigPlane):
             raise ConfigurationError(
                 f"farm job plane must be a ConfigPlane, got "
@@ -193,6 +209,8 @@ def result_to_wire(result: FarmResult) -> dict:
 
 
 __all__ = [
+    "MAX_JOB_CYCLES",
+    "MAX_JOB_DNODES",
     "FarmJob",
     "FarmResult",
     "job_from_wire",

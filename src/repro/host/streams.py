@@ -13,10 +13,10 @@ bandwidth data oriented computation".
 * :class:`DataController` — the bank of channels and taps a
   :class:`~repro.host.system.RingSystem` drives each cycle.
 
-With the ring's batch backend (``backend="batch"``) the same port
-serves B independent streams at once: construct the controller with
-``batch=B`` and it hands out :class:`BatchStreamChannel` /
-:class:`BatchOutputTap` instead — per-lane queues, per-lane underrun
+With a lane ring (``backend="batch"``, see :mod:`repro.core.lanes`)
+the same port serves B independent streams at once: construct the
+controller with ``batch=B`` and it hands out :class:`BatchStreamChannel`
+/ :class:`BatchOutputTap` instead — per-lane queues, per-lane underrun
 accounting, per-lane sample streams — while keeping the exact same
 per-cycle protocol (``current``/``advance``/``observe``).
 
@@ -36,7 +36,6 @@ from typing import Deque, Dict, Iterable, List, Optional
 import numpy as np
 
 from repro import word
-from repro.core.batchpath import LANE_DTYPE
 from repro.core.hostio import HostWindow, tap_selection
 from repro.errors import HostError
 
@@ -227,7 +226,7 @@ class BatchStreamChannel:
         """The ``(cycles, lanes)`` words presented over the next *cycles*
         cycles (each lane's queued words, then the idle value)."""
         words = np.full((cycles, self.batch), self.idle_value,
-                        dtype=LANE_DTYPE)
+                        dtype=np.int64)
         for lane, queue in enumerate(self._queues):
             head = list(islice(queue, cycles))
             words[:len(head), lane] = head
@@ -378,16 +377,16 @@ class BatchOutputTap:
         for lane, value in enumerate(values):
             self.samples[lane].append(int(value))
 
-    def absorb(self, rows: List[np.ndarray]) -> None:
-        """:meth:`observe` each per-lane row of *rows* in bulk."""
-        seen = self._seen
-        self._seen = seen + len(rows)
-        kept = rows[tap_selection(seen, len(rows), self.skip, self.every)]
-        if self.limit is not None:
-            kept = kept[:max(0, self.limit - len(self.samples[0]))]
-        if kept:
-            for lane, column in enumerate(np.stack(kept).T.tolist()):
-                self.samples[lane].extend(column)
+    def absorb(self, columns: List[List[int]]) -> None:
+        """:meth:`observe` consecutive cycles in bulk, given as one
+        history per lane."""
+        count = len(columns[0])
+        pick = tap_selection(self._seen, count, self.skip, self.every)
+        self._seen += count
+        room = (None if self.limit is None
+                else max(0, self.limit - len(self.samples[0])))
+        for samples, column in zip(self.samples, columns):
+            samples.extend(column[pick][:room])
 
     def lane(self, lane: int) -> List[int]:
         """One lane's collected sample stream (a copy)."""
@@ -425,7 +424,7 @@ class DataController:
     ``underruns`` and tap samples ending exactly where per-cycle stepping
     leaves them.
 
-    With ``batch > 1`` (the ring's batch backend) every channel is a
+    With ``batch > 1`` (a lane ring) every channel is a
     :class:`BatchStreamChannel` and every tap a :class:`BatchOutputTap`;
     both protocols are unchanged — words are per-lane arrays and taps
     collect one stream per lane.
@@ -491,7 +490,8 @@ class DataController:
         for tap in self.taps:
             ring.dnode(tap.layer, tap.position)  # validates the address
             taps[(tap.layer, tap.position)] = None
-        return HostWindow(ring, words, tuple(taps), lanes=self.batch > 1)
+        return HostWindow(ring, words, tuple(taps),
+                          lanes=self.batch if self.batch > 1 else 0)
 
     def close_window(self, window: HostWindow, edges: int) -> None:
         """Account a finished span: the reads of every executed cycle,
@@ -501,7 +501,11 @@ class DataController:
         for index, ch in self._channels.items():
             ch.consume(cycles, edges, index in window.words)
         for tap in self.taps:
-            tap.absorb(window.history[(tap.layer, tap.position)][:edges])
+            history = window.history[(tap.layer, tap.position)]
+            if window.lanes:
+                tap.absorb([lane[:edges] for lane in history])
+            else:
+                tap.absorb(history[:edges])
 
     def advance(self) -> None:
         """Clock edge: every channel moves to its next word."""
@@ -511,13 +515,12 @@ class DataController:
     def collect(self, ring) -> None:
         """Sample every tap from the post-edge fabric state.
 
-        Batch taps read the per-lane OUT values straight from the ring's
-        batch engine; scalar taps read the scalar OUT register.
+        Batch taps read every lane's OUT value from the ring's lane
+        store; scalar taps read the ring's own OUT register.
         """
         if self.batch > 1:
-            engine = ring.batch
             for tap in self.taps:
-                tap.observe(engine.lane_outs(tap.layer, tap.position))
+                tap.observe(ring.lanes.outs(tap.layer, tap.position))
             return
         for tap in self.taps:
             tap.observe(ring.dnode(tap.layer, tap.position).out)

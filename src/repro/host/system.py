@@ -46,7 +46,7 @@ class RingSystem(HostPort):
         self.ring = ring
         self.controller = controller
         self.planes: List[ConfigPlane] = list(planes or [])
-        # A batch-backend ring gets a batch data controller: per-lane
+        # A lane ring gets a batch data controller: per-lane
         # stream channels and output taps on the same direct ports.
         batch = ring.batch_size if ring.backend == "batch" else 1
         self.data = DataController(batch=batch)
@@ -83,10 +83,10 @@ class RingSystem(HostPort):
         An uncontrolled system hands the whole window to
         :meth:`repro.core.ring.Ring.run` with itself as the host port
         (the data controller's windows, counted on the system clock):
-        stream words go in as arrays consumed by cycle index
-        and tap samples come back as OUT histories, so the compiled
-        engines (per-cycle plan, macro, native, batch) run end to end
-        without re-entering the host layer every cycle.  Observers split
+        stream words go in as arrays consumed by cycle index and tap
+        samples come back as OUT histories, so the compiled rungs
+        (per-cycle plan, macro, native) run end to end, on every lane of
+        a lane ring, without re-entering the host layer every cycle.  Observers split
         the window at their capture points, where the host queues and tap
         samples are exactly as per-cycle stepping leaves them.  With a
         controller attached every cycle needs its instruction, so the run

@@ -1,13 +1,12 @@
 """Lane-aware tap reading shared by every kernel run helper.
 
-PR 8's conformance matrix surfaced a whole class of golden-reference
-drift: kernel helpers that read ``tap.samples`` directly return
-*lists of lanes* (not samples) the moment the ring runs the ``batch``
-backend, silently breaking on any engine but the scalar ones.
-:func:`tap_lane0` is the one idiom every recipe uses instead — a
-scalar tap's samples, or lane 0 of a batch tap (a scalar host stream
-broadcasts, so every lane computes the golden answer and lane 0 is the
-canonical one).
+On a lane ring (``backend="batch"``, see :mod:`repro.core.lanes`) a
+tap collects one sample stream per lane, so ``tap.samples`` holds *lists
+of lanes*, not samples, and a kernel helper reading it directly would
+break there alone.  :func:`tap_lane0` is the one idiom every recipe uses
+instead — a scalar tap's samples, or lane 0 of a lane tap (a scalar host
+stream broadcasts, so every lane computes the golden answer and lane 0
+is the canonical one).
 """
 
 from __future__ import annotations

@@ -4,15 +4,16 @@ The paper's scalability argument rests on the fabric staying correct
 while it is dynamically reconfigured; this package adds the matching
 robustness story — what happens when state is corrupted or a Dnode
 misbehaves — working identically on every execution engine
-(the interpreter, each rung of the compiled ladder, batch):
+(the interpreter, each rung of the compiled ladder, every lane of a
+lane ring):
 
 * :mod:`repro.robustness.faults` — seeded, deterministic fault models:
   SEU bit-flips in register files, OUT registers, switch feedback
   pipelines, FIFO words and the configuration plane, stuck-at/disabled
   Dnodes, and dropped host stream words.  Configuration faults are
   applied through :class:`~repro.core.config_memory.ConfigMemory`, so
-  the existing invalidation-listener hooks fire and compiled plans are
-  correctly dropped.
+  the ring's invalidation hooks fire and compiled plans are correctly
+  dropped.
 * :mod:`repro.robustness.checkpoint` — periodic checkpointing built on
   :func:`repro.core.snapshot.capture`/``restore`` with rollback-replay
   recovery, plus graceful degradation (remap around a disabled Dnode)

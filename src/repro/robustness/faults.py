@@ -5,10 +5,10 @@ Two families of fault, mirroring where state lives in the architecture:
 * **Runtime faults** corrupt datapath state directly — a single-event
   upset (SEU) flips one bit of a register-file word, an OUT register, a
   switch feedback-pipeline word or a queued FIFO word; a dropped stream
-  word removes one element from a host input queue.  On a ring with a
-  live batch engine the same flip is applied to *every* lane (and the
-  scalar lane-0 mirror), so the lanes stay in lockstep with a scalar
-  golden run and recovery can be verified per lane.
+  word removes one element from a host input queue.  On a lane ring the
+  same flip is applied to *every* lane's datapath, so the lanes stay in
+  lockstep with a scalar golden run and recovery can be verified per
+  lane.
 * **Configuration faults** corrupt the configuration plane — one bit of
   an encoded microword or switch-route word, or a whole Dnode stuck
   disabled (NOP local program).  These are applied through
@@ -225,7 +225,14 @@ class FaultInjector:
         not the fault landed (an SEU aimed at an empty FIFO is masked).
         """
         handler = _HANDLERS[event.site.kind]
-        applied, detail = handler(self, event)
+        lanes = self.ring.lanes
+        if lanes is None or event.site.kind not in _DATAPATH_KINDS:
+            applied, detail = handler(self, event)
+        else:
+            # Lane 0's outcome, or the first lane the upset landed in.
+            results = lanes.visit(lambda lane: handler(self, event))
+            applied, detail = next((r for r in results if r[0]),
+                                   results[0])
         self.ring.faults_injected += 1
         record = InjectionRecord(event=event, applied=applied, detail=detail)
         self.log.append(record)
@@ -238,9 +245,6 @@ class FaultInjector:
         mask = 1 << event.bit
         dn = self.ring.dnode(layer, pos)
         dn.regs._values[reg] ^= mask
-        engine = self.ring._batch_engine
-        if engine is not None:
-            engine.regs[layer, pos, reg, :] ^= mask
         return True, f"R{reg} -> {dn.regs._values[reg]:#06x}"
 
     def _flip_out(self, event: FaultEvent):
@@ -248,9 +252,6 @@ class FaultInjector:
         mask = 1 << event.bit
         dn = self.ring.dnode(layer, pos)
         dn._out ^= mask
-        engine = self.ring._batch_engine
-        if engine is not None:
-            engine.outs[layer, pos, :] ^= mask
         return True, f"OUT -> {dn._out:#06x}"
 
     def _flip_pipeline(self, event: FaultEvent):
@@ -258,35 +259,16 @@ class FaultInjector:
         mask = 1 << event.bit
         sw = self.ring.switch(k)
         sw.rp_write(stage, lane, sw.rp_read(stage, lane) ^ mask)
-        engine = self.ring._batch_engine
-        if engine is not None:
-            depth = self.ring.geometry.pipeline_depth
-            slot = (engine._head + stage - 1) % depth
-            engine.pipes[k, lane - 1, slot, :] ^= mask
         return True, f"Rp({stage},{lane}) of switch {k}"
 
     def _flip_fifo(self, event: FaultEvent):
         key = event.site.address
         mask = 1 << event.bit
         queue = self.ring._fifos.get(key)
-        applied = False
-        if queue:
-            idx = event.index % len(queue)
-            queue[idx] ^= mask
-            applied = True
-        engine = self.ring._batch_engine
-        if engine is not None:
-            fifo = engine._fifos.get(key)
-            if fifo is not None:
-                for lane in range(engine.batch):
-                    count = int(fifo.count[lane])
-                    if count:
-                        idx = event.index % count
-                        slot = (int(fifo.head[lane]) + idx) % fifo.capacity
-                        fifo.data[slot, lane] ^= mask
-                        applied = True
-        detail = "" if applied else "FIFO empty"
-        return applied, detail
+        if not queue:
+            return False, "FIFO empty"
+        queue[event.index % len(queue)] ^= mask
+        return True, ""
 
     def _flip_config_word(self, event: FaultEvent):
         layer, pos = event.site.address
@@ -379,6 +361,10 @@ def _route_is_runnable(src: PortSource, geometry) -> bool:
                 and 1 <= src.lane <= geometry.width)
     return True
 
+
+#: Kinds that upset the datapath, applied to every lane of a lane ring.
+_DATAPATH_KINDS = (FaultKind.REGISTER, FaultKind.OUT, FaultKind.PIPELINE,
+                   FaultKind.FIFO)
 
 _HANDLERS = {
     FaultKind.REGISTER: FaultInjector._flip_register,

@@ -1,12 +1,13 @@
 """Differential fuzzing: every backend, bit-identical, per lane.
 
-The batch backend's whole claim is *bit-identity*: B lanes advanced by
-NumPy kernels must be indistinguishable from B scalar rings run one
-after another, which in turn must match the interpreter.  These property
-tests draw random fabric shapes, microprograms, routes, FIFO loads and
-host streams (reusing the spec generators of ``test_fuzz.py``), run the
-same configuration on the interpreter, each rung of the compiled ladder
-and one batch engine, and compare the complete architectural state per lane:
+A lane ring's whole claim is *bit-identity*: its B lanes, each run on
+the compiled ladder with its datapath swapped in and out, must be
+indistinguishable from B scalar rings run one after another, which in
+turn must match the interpreter.  These property tests draw random
+fabric shapes, microprograms, routes, FIFO loads and host streams
+(reusing the spec generators of ``test_fuzz.py``), run the same
+configuration on the interpreter, each rung of the compiled ladder and
+one lane ring, and compare the complete architectural state per lane:
 Dnode outputs and register files, switch feedback pipelines, FIFO
 contents and pop/underflow accounting, and the activity statistics.
 
@@ -23,12 +24,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro import word
 from repro.core import alu
-from repro.core.batchpath import LANE_DTYPE, batch_execute_op
 from repro.core.dnode import DnodeMode
 from repro.core.isa import ACCUMULATING_OPS, Opcode
 from repro.core.ring import Ring, RingGeometry
 
 from tests.core.test_fuzz import apply_spec, build_ring, ring_specs
+from tests.rungs import lane_ring
 
 
 def _host_value(seed: int, channel: int, cycle: int, lane: int) -> int:
@@ -79,11 +80,10 @@ def _scalar_lane_ring(spec: dict, seed: int, lane: int,
 
 def _batch_ring(spec: dict, seed: int, batch: int) -> Ring:
     ring = build_ring(spec, backend="batch", batch_size=batch)
-    engine = ring.batch
     for layer, pos, _mw, _local, _routes, loads in spec["cells"]:
         for channel in loads:
             for lane in range(batch):
-                engine.push_fifo(
+                ring.lanes.push_fifo(
                     layer, pos, channel,
                     _lane_fifo_extra(seed, layer, pos, channel, lane),
                     lane=lane)
@@ -106,9 +106,7 @@ def _batch_host_in(ring: Ring, seed: int, batch: int):
 
 
 def _extract_lane(batch_ring: Ring, lane: int) -> dict:
-    target = Ring(batch_ring.geometry)
-    batch_ring.batch.store_lane(lane, target)
-    return _state(target)
+    return _state(lane_ring(batch_ring, lane))
 
 
 class TestDifferentialBackends:
@@ -146,9 +144,9 @@ class TestDifferentialBackends:
     def test_chunked_runs_match_one_shot(self, spec, batch, chunks, seed):
         """run()/step() interleaving never perturbs lane state.
 
-        The batch engine syncs lane 0 back to the scalar ring between
-        chunks; a writeback or resync bug would compound across chunk
-        boundaries and show up against the single uninterrupted run.
+        Every span swaps each lane's datapath in and out of the ring; a
+        swap bug would compound across chunk boundaries and show up
+        against the single uninterrupted run.
         """
         total = sum(chunks)
         one_shot = _batch_ring(spec, seed, batch)
@@ -187,7 +185,7 @@ class TestDifferentialCachedAndMacro:
     driven through an interpreter ring, a cache-enabled ladder ring
     (which re-adopts plans on the A/B/A returns), a cache-disabled ring
     (fresh compile every switch), a ring pinned to the macro kernel, and
-    the batch backend with its kernel cache.  Any fingerprint collision, stale
+    a lane ring sharing one plan cache.  Any fingerprint collision, stale
     plan adoption, phase-mismatched macro kernel, or missed invalidation
     shows up as state divergence.
     """
@@ -259,16 +257,16 @@ class TestDifferentialCachedAndMacro:
     @settings(max_examples=25)
     def test_batch_kernel_cache_churn_per_lane(self, spec_a, spec_b,
                                                batch, cycles, seed):
-        """The batch engine's kernel cache under the same A/B/A churn:
-        every lane must keep matching per-lane scalar reruns."""
+        """A lane ring's plan cache under the same A/B/A churn: every
+        lane must keep matching per-lane scalar reruns."""
         bring = _batch_ring(spec_a, seed, batch)
         host_in = _batch_host_in(bring, seed, batch)
         plan = [spec_b, spec_a, spec_b, spec_a]
         for spec in plan:
             _apply_config_only(bring, spec)
             bring.run(cycles, host_in=host_in)
-        assert bring._batch_engine.plan_cache.hits > 0, (
-            "churn back to a seen context must hit the kernel cache"
+        assert bring.plan_cache.hits > 0, (
+            "churn back to a seen context must hit the plan cache"
         )
         for lane in range(batch):
             scalar = _scalar_lane_ring(spec_a, seed, lane)
@@ -283,12 +281,12 @@ class TestDifferentialCachedAndMacro:
 
 
 class TestLaneInvariantLocalCounters:
-    """Satellite audit pin: the local-sequencer phase is configuration-
-    driven, never data-driven.  ``Dnode.commit()`` advances the sequencer
+    """Audit pin: the local-sequencer phase is configuration-driven,
+    never data-driven.  ``Dnode.commit()`` advances the sequencer
     unconditionally, so even lanes whose *data* diverges hard (distinct
-    FIFO loads, per-lane underflows) keep bit-identical local counters —
-    the contract ``store_lane``'s lane-invariant scalar mirror relies
-    on."""
+    FIFO loads, per-lane underflows) end with bit-identical local
+    counters — the contract that lets a lane ring keep one set of
+    counters on the ring instead of one per lane."""
 
     @given(spec=ring_specs(min_layers=2, max_layers=5, min_width=1,
                            max_width=2, max_local=6),
@@ -300,14 +298,14 @@ class TestLaneInvariantLocalCounters:
                                                    cycles, seed):
         bring = _batch_ring(spec, seed, batch)
         bring.run(cycles, host_in=_batch_host_in(bring, seed, batch))
-        mirror = [dn.local.counter for dn in bring.all_dnodes()]
+        shared = [dn.local.counter for dn in bring.all_dnodes()]
         for lane in range(batch):
-            target = Ring(bring.geometry)
-            bring.batch.store_lane(lane, target)
-            got = [dn.local.counter for dn in target.all_dnodes()]
-            assert got == mirror, (
-                f"lane {lane} local counters diverged from the "
-                f"lane-invariant mirror"
+            scalar = _run_lane_scalar(spec, seed, lane, cycles, 0,
+                                      backend="interpreter")
+            got = [dn.local.counter for dn in scalar.all_dnodes()]
+            assert got == shared, (
+                f"lane {lane} local counters diverged from the lane "
+                f"ring's shared counters"
             )
 
 
@@ -316,14 +314,27 @@ _words = st.one_of(st.sampled_from(_BOUNDARY),
                    st.integers(min_value=0, max_value=0xFFFF))
 
 
+def _numpy_op(op: Opcode, a, b, acc, imm: int = 0) -> np.ndarray:
+    """*op* through its NumPy rendering, as the native kernel evaluates
+    it: int64 operand arrays, the signed coefficient inlined."""
+    a, b, acc = (np.asarray(v, dtype=np.int64) for v in (a, b, acc))
+    if op is Opcode.NOP:
+        return a & 0
+    source = alu.render_expr(op, alu.NUMPY, "a", "b", "acc",
+                             str(word.to_signed(imm)))
+    return np.asarray(eval(source, {"np": np},
+                           {"a": a, "b": b, "acc": acc}))
+
+
 class TestSignedOverflowAudit:
-    """Scalar ALU vs both renderings of the expression table (NumPy batch
-    kernels and the macro tier's scalar source) at the INT16 boundaries."""
+    """Scalar ALU vs both renderings of the expression table (the native
+    kernel's NumPy source and the macro tier's scalar source) at the
+    INT16 boundaries."""
 
     @given(op=st.sampled_from(list(Opcode)), a=_words, b=_words,
            acc=_words, imm=_words)
     @settings(max_examples=150)
-    def test_batch_kernel_matches_scalar_alu(self, op, a, b, acc, imm):
+    def test_numpy_rendering_matches_scalar_alu(self, op, a, b, acc, imm):
         expected = alu.execute_op(op, a, b, acc=acc, imm=imm)
         if op is not Opcode.NOP:
             source = alu.render_expr(op, alu.SCALAR, "a", "b", "acc",
@@ -335,16 +346,12 @@ class TestSignedOverflowAudit:
                 f"imm={imm:#06x}): scalar ALU {expected:#06x}, "
                 f"scalar rendering {scalar(a, b, acc):#06x}"
             )
-        lanes = np.array([a, a, a], dtype=LANE_DTYPE)
-        got = batch_execute_op(op, lanes,
-                               np.full(3, b, dtype=LANE_DTYPE),
-                               acc=np.full(3, acc, dtype=LANE_DTYPE),
-                               imm=imm)
-        got = np.asarray(got)
+        got = _numpy_op(op, [a, a, a], np.full(3, b), np.full(3, acc),
+                        imm)
         assert got.shape == (3,)
         assert (got == expected).all(), (
             f"{op.name}(a={a:#06x}, b={b:#06x}, acc={acc:#06x}, "
-            f"imm={imm:#06x}): scalar {expected:#06x}, batch {got}"
+            f"imm={imm:#06x}): scalar {expected:#06x}, NumPy {got}"
         )
         for value in got.tolist():
             assert word.is_valid(value)
@@ -356,15 +363,13 @@ class TestSignedOverflowAudit:
         grid = [(a, b, acc) for a in _BOUNDARY for b in _BOUNDARY
                 for acc in (_BOUNDARY if op in ACCUMULATING_OPS
                             else [0])]
-        a = np.array([g[0] for g in grid], dtype=LANE_DTYPE)
-        b = np.array([g[1] for g in grid], dtype=LANE_DTYPE)
-        acc = np.array([g[2] for g in grid], dtype=LANE_DTYPE)
-        got = np.asarray(batch_execute_op(op, a, b, acc=acc))
+        got = _numpy_op(op, [g[0] for g in grid], [g[1] for g in grid],
+                        [g[2] for g in grid])
         for i, (av, bv, accv) in enumerate(grid):
             expected = alu.execute_op(op, av, bv, acc=accv)
             assert int(got[i]) == expected, (
                 f"{op.name}(a={av:#06x}, b={bv:#06x}, acc={accv:#06x}): "
-                f"scalar {expected:#06x}, batch {int(got[i]):#06x}"
+                f"scalar {expected:#06x}, NumPy {int(got[i]):#06x}"
             )
 
 

@@ -31,7 +31,7 @@ from repro.core.dnode import DnodeMode
 from repro.core.ring import Ring, RingGeometry
 from repro.core.switch import PortSource
 from repro.errors import SimulationError
-from tests.rungs import PinnedRing, make_ring
+from tests.rungs import PinnedRing, lane_ring, make_ring
 
 #: The reference interpreter and the per-cycle plan, as ring kwargs.
 _PAIR_KWARGS = ({"backend": "interpreter"}, {"rung": "fastpath"})
@@ -225,11 +225,11 @@ def test_midrun_reconfiguration_invalidates_plan(seed):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("batch_size", [1, 3])
 def test_midrun_reconfiguration_all_backends(seed, batch_size):
-    """Reconfigure mid-run under all three engines, batch included.
+    """Reconfigure mid-run under all three engines, lanes included.
 
-    The batch engine must drop its compiled kernels on any configuration
-    write (via the ring's invalidation listeners), keep the lane state,
-    recompile exactly once on the next run, and end bit-identical to the
+    A lane ring's lanes share the ring's compiled plan: a configuration
+    write must drop it for every lane, keep each lane's state, recompile
+    exactly once on the next run, and end bit-identical to the
     interpreter and the scalar fast path — on every lane (the host
     stimulus is broadcast, so all lanes mirror the scalar run).
     """
@@ -237,40 +237,31 @@ def test_midrun_reconfiguration_all_backends(seed, batch_size):
     reference = Ring(geometry, backend="interpreter")
     fast = PinnedRing(geometry, "fastpath")
     batch = Ring(geometry, backend="batch", batch_size=batch_size)
-    # B=1 rides the scalar fast path unless the vector engine has been
-    # handed out; this test exercises the engine, so engage it.
-    batch.batch
     rings = (reference, fast, batch)
     hosts = [_HostLog() for _ in rings]
     for ring in rings:
         _apply_random_config(ring, random.Random(seed))
     for ring, host in zip(rings, hosts):
         ring.run(15, host_in=host)
-    engine = batch._batch_engine
-    assert engine is not None and engine._kernels is not None
-    compiles = engine.compiles
-    invalidations = engine.invalidations
-    ring_invalidations = batch.plan_invalidations
+    assert batch._plan is not None
+    compiles = batch.plan_compiles
+    invalidations = batch.plan_invalidations
     for ring in rings:
         _apply_random_config(ring, random.Random(seed + 1000))
     assert fast._plan is None, "reconfiguration must drop the plan"
-    assert engine._kernels is None, (
-        "reconfiguration must drop the batch kernels"
-    )
-    assert engine.invalidations > invalidations
-    assert batch.plan_invalidations > ring_invalidations
+    assert batch._plan is None, "reconfiguration must drop the lanes' plan"
+    assert batch.plan_invalidations > invalidations
     for ring, host in zip(rings, hosts):
         ring.run(15, host_in=host)
-    assert engine.compiles == compiles + 1, "one recompile, once stable"
+    assert batch.plan_compiles == compiles + 1, "one recompile, once stable"
     assert hosts[1].calls == hosts[0].calls
     assert hosts[2].calls == hosts[0].calls
     want = _state(reference)
     assert _state(fast) == want
-    assert _state(batch) == want  # lane 0, written back by run()
+    assert _state(batch) == want  # the ring holds lane 0
     for lane in range(batch_size):
-        target = Ring(geometry)
-        engine.store_lane(lane, target)
-        assert _state(target) == want, f"lane {lane} diverged"
+        assert _state(lane_ring(batch, lane)) == want, (
+            f"lane {lane} diverged")
 
 
 @pytest.mark.parametrize("seed", range(5))

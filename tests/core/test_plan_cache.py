@@ -425,14 +425,14 @@ class TestFirstVisitCodegen:
 
 
 class TestBatchSizeOneRouting:
-    """B=1 batch mode rides the scalar compiled ladder."""
+    """Lane rings ride the scalar compiled ladder, at any lane count."""
 
     def test_b1_uses_scalar_plan_not_engine(self):
         ring = make_ring(8, backend="batch", batch_size=1)
         _configure(ring, "a")
         ring.run(8)
-        assert ring._batch_engine is None, "no vector engine at B=1"
-        assert ring._plan is not None, "scalar plan compiled instead"
+        assert ring.lanes.size == 1
+        assert ring._plan is not None, "scalar plan compiled"
 
     def test_b1_matches_fastpath_bit_for_bit(self):
         batch = make_ring(8, backend="batch", batch_size=1)
@@ -444,32 +444,32 @@ class TestBatchSizeOneRouting:
         assert _state(batch) == _state(fast)
 
     def test_b1_engine_handoff_stays_coherent(self):
-        """Accessing ``ring.batch`` mid-run engages the vector engine;
-        the resync broadcast must hand over the scalar state exactly."""
-        batch = make_ring(8, backend="batch", batch_size=1)
+        """Switching a running ring to lanes mid-run broadcasts its
+        state: the hand-over must keep the scalar state exactly."""
+        batch = make_ring(8)
         fast = make_ring(8)
         for ring in (batch, fast):
             _configure(ring, "a")
             ring.run(5)
-        engine = batch.batch          # engage: broadcasts scalar state
-        assert batch._batch_engine is engine
+        batch.set_backend("batch", 2)
         for ring in (batch, fast):
             ring.run(5)
         assert _state(batch) == _state(fast)
+        assert batch.lanes.state(1) == batch.lanes.state(0)
 
     def test_b1_batch_size_bump_uses_engine(self):
+        """At B > 1 the lanes share the ring's scalar plan."""
         ring = make_ring(8, backend="batch", batch_size=2)
-        assert not ring.adopt_cached_plan(), "no scalar plan at B>1"
         _configure(ring, "a")
         ring.run(4)
-        assert ring._batch_engine is not None
-        assert ring._plan is None
+        assert ring._plan is not None
+        assert ring.adopt_cached_plan()
+        assert ring.plan_compiles == 1
 
     def test_batch_kernel_cache_hits_across_churn(self):
         ring = make_ring(8, backend="batch", batch_size=2)
         for flavour in ("a", "b", "a", "b", "a", "b"):
             _configure(ring, flavour)
             ring.run(3)
-        engine = ring._batch_engine
-        assert engine.plan_cache.hits >= 4
-        assert engine.compiles == 2, "one compile per distinct context"
+        assert ring.plan_cache.hits >= 4
+        assert ring.plan_compiles == 2, "one compile per distinct context"

@@ -56,15 +56,14 @@ class TestCleared:
 
     def test_batch_lane_state_clears_in_place(self):
         ring = run_hard(make_busy_ring(backend="batch", batch_size=4))
-        engine = ring._batch_engine
-        assert engine is not None
+        lanes = ring.lanes
         ring.reset()
-        # Same engine, every lane back to what a fresh engine over the
-        # cleared scalar state holds.
-        assert ring._batch_engine is engine
+        # Same lane store, every lane back to what a fresh lane ring
+        # holds after its own reset.
+        assert ring.lanes is lanes
         twin = make_busy_ring(backend="batch", batch_size=4)
         twin.reset()
-        assert engine.capture_lanes() == twin.batch.capture_lanes()
+        assert lanes.capture() == twin.lanes.capture()
 
 
 class TestPreserved:
@@ -77,7 +76,7 @@ class TestPreserved:
         fresh = make_busy_ring(backend="batch", batch_size=4)
         fresh.reset()
         run_hard(fresh)
-        assert ring.batch.capture_lanes() == fresh.batch.capture_lanes()
+        assert ring.lanes.capture() == fresh.lanes.capture()
 
     def test_configuration_and_write_counters(self):
         ring = make_busy_ring()

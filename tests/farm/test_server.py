@@ -14,7 +14,8 @@ import json
 
 from repro.core.ring import Ring, RingGeometry
 from repro.farm import RingFarm
-from repro.farm.job import FarmJob, job_to_wire
+from repro.farm.job import (MAX_JOB_CYCLES, MAX_JOB_DNODES, FarmJob,
+                            job_to_wire)
 from repro.farm.server import LINE_LIMIT, FarmServer, request
 
 from tests.farm.test_farm import direct_run, fir_job
@@ -184,6 +185,39 @@ class TestFarmServer:
                                                f"{LINE_LIMIT} bytes"}
         assert closed, "the server closes an over-limit connection"
         assert alive["ok"]
+
+    def test_over_limit_cycles_get_error_reply(self):
+        job = fir_job()
+        job.cycles = MAX_JOB_CYCLES + 1
+
+        async def go(farm, server):
+            return await request("127.0.0.1", server.port,
+                                 {"op": "submit", "job": job_to_wire(job)})
+
+        reply = serve(go)
+        assert reply == {"ok": False,
+                         "error": f"ConfigurationError: farm job cycle "
+                                  f"budget {MAX_JOB_CYCLES + 1} exceeds "
+                                  f"{MAX_JOB_CYCLES}"}
+
+    def test_over_limit_fabric_gets_error_reply_before_allocation(self):
+        # The plane stays tiny: only the requested shape is over the
+        # limit, and the worker never builds the ring.
+        plane = Ring(RingGeometry(layers=2, width=2)).config.capture_plane()
+        job = FarmJob(tenant="erin", layers=MAX_JOB_DNODES, width=2,
+                      plane=plane, cycles=4)
+
+        async def go(farm, server):
+            reply = await request("127.0.0.1", server.port,
+                                  {"op": "submit", "job": job_to_wire(job)})
+            return reply, farm.jobs_submitted
+
+        reply, submitted = serve(go)
+        assert reply == {"ok": False,
+                         "error": f"ConfigurationError: farm job fabric "
+                                  f"{MAX_JOB_DNODES}x2 exceeds "
+                                  f"{MAX_JOB_DNODES} Dnodes"}
+        assert submitted == 0
 
     def test_port_zero_binds_a_real_port(self):
         async def go(farm, server):

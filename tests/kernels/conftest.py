@@ -18,7 +18,7 @@ Helpers:
   :class:`~repro.host.streams.BatchOutputTap`;
 * :func:`fabric_state` — the scalar architectural state of a ring
   (shape-compatible across engines, unlike ``state_digest`` which
-  includes the lane arrays of batch snapshots).
+  includes the other lanes of a lane ring).
 """
 
 from __future__ import annotations

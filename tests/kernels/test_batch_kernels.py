@@ -85,11 +85,10 @@ class TestBatchDct:
         length = 8 * self.GROUPS
         signals = [_lane_signal(lane, length, spread=30)
                    for lane in range(BATCH)]
-        engine = ring.batch
         taps = []
         for k in range(8):
             for lane, signal in enumerate(signals):
-                engine.push_fifo(
+                ring.lanes.push_fifo(
                     k, 0, 1, [word.from_signed(v) for v in signal],
                     lane=lane)
             taps.append(system.data.add_tap(k, 0, skip=7, every=8,

@@ -107,13 +107,16 @@ class TestRuntimeInjection:
     def test_batch_flip_hits_every_lane(self):
         ring = make_busy_ring(backend="batch", batch_size=4)
         ring.run(4)
-        engine = ring._batch_engine
-        assert engine is not None
-        before = engine.regs[0, 0, 0, :].copy()
+
+        def r0():
+            return [ring.lanes.state(lane).registers[(0, 0)][0]
+                    for lane in range(4)]
+
+        before = r0()
         inj = FaultInjector(ring, seed=0)
         inj.inject(_event(inj, FaultKind.REGISTER, (0, 0, 0), bit=2))
-        assert list(engine.regs[0, 0, 0, :]) == [v ^ 4 for v in before]
-        # ... and the scalar mirror moved with lane 0.
+        assert r0() == [v ^ 4 for v in before]
+        # ... and lane 0 is the ring's own register file.
         assert ring.dnode(0, 0).regs.read(0) == before[0] ^ 4
 
 

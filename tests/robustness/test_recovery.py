@@ -78,11 +78,11 @@ def test_recovery_digest_matches_across_backends(engine, kwargs):
     ring.dnode(0, 1)._out ^= 0x80
     manager.rollback_replay(CYCLES)
     digest = state_digest(ring)
-    if ring._batch_engine is None:
+    if ring.lanes is None:
         assert digest == reference_digest
     else:
-        # A batch digest carries the per-lane block; the scalar part
-        # must still match the scalar reference bit for bit.
+        # A lane ring's digest carries the other lanes' block; the
+        # ring's own part must still match the scalar reference.
         assert digest[:-1] == reference_digest[:-1]
 
 

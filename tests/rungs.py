@@ -18,6 +18,7 @@ from time import perf_counter
 
 from repro.core.dnode import DnodeMode
 from repro.core.fastpath import compile_plan
+from repro.core.lanes import write_lane
 from repro.core.macropath import compile_macro
 from repro.core.nativepath import compile_native
 from repro.core.ring import Ring, RingGeometry
@@ -68,6 +69,17 @@ class PinnedRing(Ring):
                     cycles -= span
         if cycles:
             self._run_rung(plan, "fastpath", cycles, bus, host_in)
+
+
+def lane_ring(ring: Ring, lane: int) -> Ring:
+    """A scalar ring (no configuration) holding lane *lane* of a lane
+    ring: that lane's datapath plus the clock state the lanes share."""
+    target = Ring(ring.geometry)
+    write_lane(target, ring.lanes.state(lane))
+    target.cycles = ring.cycles
+    for dst, src in zip(target.all_dnodes(), ring.all_dnodes()):
+        dst.local._counter = src.local.counter
+    return target
 
 
 def make_ring(geometry: RingGeometry, **kwargs) -> Ring:

@@ -192,7 +192,8 @@ class TestRunBatchBackend:
         capsys.readouterr()
         data = json.loads(metrics.read_text())
         assert data["batch_lanes"] == 3
-        assert data["batch_plan_compiles_total"] == 1
+        # The lanes share the ring's plan: one compile for all three.
+        assert data["ring_plan_compiles_total"] == 1
         assert "lane=2" in data["batch_lane_fifo_underflows_total"]
 
     def test_batch_rejects_controller_program(self, asm_file, capsys):

@@ -9,8 +9,8 @@ to a 16-bit result with no state, which keeps it trivially property-testable.
 All values are raw 16-bit bus words (see :mod:`repro.word`).  Signed
 interpretation is two's complement.
 
-The scalar handlers are the reference semantics.  The engines that
-generate code (macro and native) instead read
+The scalar handlers are the interpreter's reference semantics.  The
+compiled engines (per-cycle plan, macro and native) instead read
 :data:`EXPRESSIONS`, one expression template per opcode, rendered by
 :func:`render_expr` as scalar Python or as NumPy.  Adding an opcode means
 an :class:`~repro.core.isa.Opcode` entry, a handler here and a template
@@ -129,35 +129,6 @@ _BINARY: Dict[Opcode, Callable[[int, int], int]] = {
     Opcode.CMPLT: _cmplt,
     Opcode.AVG2: _avg2,
 }
-
-
-def unary_handler(op: Opcode) -> Callable[[int], int]:
-    """The combinational function of a unary opcode (fast-path compiler).
-
-    Raises:
-        SimulationError: if *op* is not a simple unary operation.
-    """
-    handler = _UNARY.get(op)
-    if handler is None:
-        raise SimulationError(f"opcode {op!r} has no unary handler")
-    return handler
-
-
-def binary_handler(op: Opcode) -> Callable[[int, int], int]:
-    """The combinational function of a binary opcode (fast-path compiler).
-
-    Raises:
-        SimulationError: if *op* is not a simple binary operation.
-    """
-    handler = _BINARY.get(op)
-    if handler is None:
-        raise SimulationError(f"opcode {op!r} has no binary handler")
-    return handler
-
-
-def mul_full(a: int, b: int) -> int:
-    """Signed 16x16 -> full-precision product (fast-path compiler)."""
-    return _mul_full(a, b)
 
 
 def execute_op(op: Opcode, a: int, b: int = 0, acc: int = 0,

@@ -46,10 +46,10 @@ traced) run decimated to the same schedule.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro import word
-from repro.core.alu import binary_handler, unary_handler
+from repro.core.alu import SCALAR, render_expr
 from repro.core.dnode import (
     Dnode,
     DnodeMode,
@@ -64,6 +64,7 @@ from repro.core.isa import (
     MicroWord,
     Opcode,
     Source,
+    is_binary_op,
 )
 from repro.core.switch import PortKind, Switch
 from repro.errors import SimulationError
@@ -277,46 +278,39 @@ def _operand_getter(ring: "Ring", dn: Dnode, sw: Switch, mw: MicroWord,
 # ----------------------------------------------------------------------
 
 
-def _compile_compute(dn: Dnode, mw: MicroWord, get_a: CycleThunk,
-                     get_b: Optional[CycleThunk]) -> CycleThunk:
-    """Specialise the combinational result function of one microword."""
-    op = mw.op
-    to_signed = word.to_signed
-    mask = word.MASK
-    if op in ACCUMULATING_OPS:
-        vals = dn.regs._values
-        di = int(mw.dst)
-        if op is Opcode.MAC:
-            def compute(bus, host_in, _ga=get_a, _gb=get_b, _v=vals, _i=di,
-                        _ts=to_signed, _m=mask):
-                return (_ts(_ga(bus, host_in)) * _ts(_gb(bus, host_in))
-                        + _ts(_v[_i])) & _m
-        else:  # MACS
-            sat = word.saturate_signed
-            def compute(bus, host_in, _ga=get_a, _gb=get_b, _v=vals, _i=di,
-                        _ts=to_signed, _sat=sat):
-                return _sat(_ts(_ga(bus, host_in)) * _ts(_gb(bus, host_in))
-                            + _ts(_v[_i]))
-        return compute
-    if op is Opcode.MADD or op is Opcode.MSUB:
-        coeff = to_signed(mw.imm)
-        if op is Opcode.MADD:
-            def compute(bus, host_in, _ga=get_a, _gb=get_b, _c=coeff,
-                        _ts=to_signed, _m=mask):
-                return (_ts(_ga(bus, host_in))
-                        + _ts(_gb(bus, host_in)) * _c) & _m
-        else:
-            def compute(bus, host_in, _ga=get_a, _gb=get_b, _c=coeff,
-                        _ts=to_signed, _m=mask):
-                return (_ts(_ga(bus, host_in))
-                        - _ts(_gb(bus, host_in)) * _c) & _m
-        return compute
-    if mw.is_binary:
-        fn = binary_handler(op)
-        return lambda bus, host_in, _f=fn, _ga=get_a, _gb=get_b: \
-            _f(_ga(bus, host_in), _gb(bus, host_in))
-    fn = unary_handler(op)
-    return lambda bus, host_in, _f=fn, _ga=get_a: _f(_ga(bus, host_in))
+#: One compute-thunk factory per opcode, rendered from
+#: :data:`repro.core.alu.EXPRESSIONS` and shared by every plan, so plan
+#: compile cost does not grow with coefficients.
+_COMPUTE_FACTORIES: Dict[Opcode, Callable[..., CycleThunk]] = {}
+
+
+def _compute_factory(op: Opcode) -> Callable[..., CycleThunk]:
+    """``make(get_a, get_b, regs, dst, coeff)`` -> *op*'s result thunk.
+
+    Operands are read once into locals: a template may use one twice,
+    and a FIFO getter pops.
+    """
+    factory = _COMPUTE_FACTORIES.get(op)
+    if factory is None:
+        lines = ["a = _ga(bus, host_in)"]
+        b = acc = coeff = None
+        if is_binary_op(op):
+            lines.append("b = _gb(bus, host_in)")
+            b = "b"
+        if op in ACCUMULATING_OPS:
+            lines.append("acc = _v[_i]")
+            acc = "acc"
+        if op is Opcode.MADD or op is Opcode.MSUB:
+            coeff = "_c"
+        lines.append(f"return {render_expr(op, SCALAR, 'a', b, acc, coeff)}")
+        source = ("def make(_ga, _gb, _v, _i, _c):\n"
+                  "    def compute(bus, host_in):\n"
+                  + "".join(f"        {line}\n" for line in lines)
+                  + "    return compute\n")
+        env = {"_sat": word.saturate_signed}
+        exec(source, env)
+        factory = _COMPUTE_FACTORIES[op] = env["make"]
+    return factory
 
 
 def _compile_body(ring: "Ring", dn: Dnode, sw: Switch, mw: MicroWord,
@@ -332,7 +326,8 @@ def _compile_body(ring: "Ring", dn: Dnode, sw: Switch, mw: MicroWord,
     get_b = None
     if mw.is_binary:
         get_b = _operand_getter(ring, dn, sw, mw, mw.src_b, port_getters)
-    compute = _compile_compute(dn, mw, get_a, get_b)
+    compute = _compute_factory(mw.op)(get_a, get_b, dn.regs._values,
+                                      int(mw.dst), word.to_signed(mw.imm))
 
     stats = dn.stats
     cost = _OP_COST.get(mw.op, 1)

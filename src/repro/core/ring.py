@@ -658,8 +658,7 @@ class Ring:
                 First-touch costs (plan compilation, macro/native codegen,
                 any Numba jit) land in the warm-up chunk instead of the
                 measured region, so the profile reports steady-state
-                throughput — the number the compiler autopilot scores
-                candidate mappings by.
+                throughput.
             bus: bus value driven during the warm-up cycles.
             host_in: host resolver used during the warm-up cycles (the
                 profiled block supplies its own).

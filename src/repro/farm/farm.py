@@ -234,32 +234,24 @@ class RingFarm:
             self._tenant_active[job.tenant] -= 1
 
     async def submit_graph(self, tenant: str, graph, streams,
-                           autotune: bool = True, job_id: str = "",
-                           **autotune_opts):
+                           job_id: str = ""):
         """Submit a :class:`~repro.compiler.graph.DataflowGraph` directly.
 
-        The compiler autopilot turns *graph* into its best-known mapping
-        (``autotune=False`` takes the default ``compile_graph`` emission
-        instead), the farm runs it like any compiled-plan job, and the
-        tap streams come back latency-aligned per graph output node —
-        comparable 1:1 against ``graph.evaluate(streams)``.  A repeat
-        submission of the same graph hits the autotuner's memo cache, so
-        the search cost is paid once per (graph, fabric) pair.
+        ``compile_graph`` turns *graph* into its mapping, the farm runs
+        it like any compiled-plan job, and the tap streams come back
+        latency-aligned per graph output node — comparable 1:1 against
+        ``graph.evaluate(streams)``.
 
         Returns ``(FarmResult, outputs)`` where *outputs* maps graph
         output-node index -> signed samples.
         """
         from repro import word
-        from repro.compiler.autotune import autotune_graph
         from repro.compiler.codegen import compile_graph
 
         if not isinstance(streams, dict):
             streams = {0: list(streams)}
         length = max((len(v) for v in streams.values()), default=0)
-        if autotune:
-            program = autotune_graph(graph, **autotune_opts).program
-        else:
-            program = compile_graph(graph)
+        program = compile_graph(graph)
         builder = Ring(program.geometry, plan_cache=0)
         program.configure(builder)
         plane = builder.config.capture_plane()

@@ -40,6 +40,13 @@ FifoLoad = Tuple[int, int, int, List[int]]
 #: single job can hold a worker.
 MAX_JOB_CYCLES = 1 << 20
 
+#: Most words one job may load into one stream channel or one FIFO.
+MAX_JOB_CHANNEL_WORDS = 1 << 18
+
+#: Most tap samples one job may ask a worker to record, summed over its
+#: taps (each records ``min(limit, cycles)``); two full-budget taps.
+MAX_JOB_TAP_SAMPLES = 1 << 21
+
 #: Largest fabric one job may ask for, in Dnodes (``layers * width``),
 #: checked before any ring is allocated; twice the 64x8 fabric.
 MAX_JOB_DNODES = 1024
@@ -85,6 +92,26 @@ class FarmJob:
             raise ConfigurationError(
                 f"farm job cycle budget {self.cycles} exceeds "
                 f"{MAX_JOB_CYCLES}")
+        for channel, words in self.streams.items():
+            if len(words) > MAX_JOB_CHANNEL_WORDS:
+                raise ConfigurationError(
+                    f"farm job stream {channel} of {len(words)} words "
+                    f"exceeds {MAX_JOB_CHANNEL_WORDS}")
+        loads: Dict[Tuple[int, int, int], int] = {}
+        for layer, pos, channel, words in self.fifos:
+            key = (layer, pos, channel)
+            loads[key] = loads.get(key, 0) + len(words)
+            if loads[key] > MAX_JOB_CHANNEL_WORDS:
+                raise ConfigurationError(
+                    f"farm job FIFO {layer}.{pos}/{channel} load of "
+                    f"{loads[key]} words exceeds {MAX_JOB_CHANNEL_WORDS}")
+        samples = sum(self.cycles if limit is None
+                      else max(0, min(limit, self.cycles))
+                      for _, _, limit in self.taps)
+        if samples > MAX_JOB_TAP_SAMPLES:
+            raise ConfigurationError(
+                f"farm job taps of {samples} samples exceed "
+                f"{MAX_JOB_TAP_SAMPLES}")
         if not isinstance(self.plane, ConfigPlane):
             raise ConfigurationError(
                 f"farm job plane must be a ConfigPlane, got "
@@ -209,8 +236,10 @@ def result_to_wire(result: FarmResult) -> dict:
 
 
 __all__ = [
+    "MAX_JOB_CHANNEL_WORDS",
     "MAX_JOB_CYCLES",
     "MAX_JOB_DNODES",
+    "MAX_JOB_TAP_SAMPLES",
     "FarmJob",
     "FarmResult",
     "job_from_wire",

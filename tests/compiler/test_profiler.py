@@ -31,6 +31,13 @@ class TestUtilization:
         with pytest.raises(SimulationError):
             utilization_by_dnode(make_ring(8))
 
+    def test_utilization_zero_cycle_dnode(self):
+        """utilization_by_dnode guards the 0-cycle division branch."""
+        ring = _half_busy_ring()
+        ring.dnode(0, 1).stats.cycles = 0
+        util = utilization_by_dnode(ring)
+        assert util["D0.1"] == 0.0
+
 
 class TestReport:
     def test_lists_busy_dnodes_only_by_default(self):
@@ -112,41 +119,3 @@ class TestProfileWarmup:
         with ring.profile():
             pass
         assert ring.cycles == cycles
-
-
-class TestMeasuredCyclesPerSecond:
-    def test_positive_and_uses_best_of_repeats(self):
-        from repro.compiler.profiler import measured_cycles_per_second
-
-        ring = _half_busy_ring()
-        rate = measured_cycles_per_second(ring, 64, repeats=2)
-        assert rate > 0
-
-    def test_rejects_empty_measurement(self):
-        from repro.compiler.profiler import measured_cycles_per_second
-
-        with pytest.raises(SimulationError):
-            measured_cycles_per_second(_half_busy_ring(), 0)
-
-    def test_warmup_defaults_to_quarter(self):
-        from repro.compiler.profiler import measured_cycles_per_second
-
-        ring = _half_busy_ring()
-        begin = ring.cycles
-        measured_cycles_per_second(ring, 100, warmup=None, repeats=1)
-        assert ring.cycles == begin + 25 + 100
-
-    def test_explicit_warmup_honoured(self):
-        from repro.compiler.profiler import measured_cycles_per_second
-
-        ring = _half_busy_ring()
-        begin = ring.cycles
-        measured_cycles_per_second(ring, 40, warmup=3, repeats=2)
-        assert ring.cycles == begin + 2 * (3 + 40)
-
-    def test_utilization_zero_cycle_dnode(self):
-        """utilization_by_dnode guards the 0-cycle division branch."""
-        ring = _half_busy_ring()
-        ring.dnode(0, 1).stats.cycles = 0
-        util = utilization_by_dnode(ring)
-        assert util["D0.1"] == 0.0

@@ -438,3 +438,20 @@ class TestRingFarm:
         assert snap.value("farm_plan_warm_ratio") == 0.0
         for worker in farm.workers:
             worker.close()
+
+
+class TestSubmitGraph:
+    def test_graph_submission_matches_golden(self):
+        from repro.compiler.library import build_graph, library_streams
+
+        graph = build_graph("dct4")
+        streams = library_streams(graph, 10)
+        golden = graph.evaluate(streams)
+
+        async def go():
+            async with inline_farm(workers=1) as farm:
+                return await farm.submit_graph("t0", graph, streams)
+
+        result, outputs = asyncio.run(go())
+        assert outputs == golden
+        assert result.cycles_run == 10 + 4  # length + dct4 latency

@@ -14,7 +14,8 @@ import json
 
 from repro.core.ring import Ring, RingGeometry
 from repro.farm import RingFarm
-from repro.farm.job import (MAX_JOB_CYCLES, MAX_JOB_DNODES, FarmJob,
+from repro.farm.job import (MAX_JOB_CHANNEL_WORDS, MAX_JOB_CYCLES,
+                            MAX_JOB_DNODES, MAX_JOB_TAP_SAMPLES, FarmJob,
                             job_to_wire)
 from repro.farm.server import LINE_LIMIT, FarmServer, request
 
@@ -199,6 +200,54 @@ class TestFarmServer:
                          "error": f"ConfigurationError: farm job cycle "
                                   f"budget {MAX_JOB_CYCLES + 1} exceeds "
                                   f"{MAX_JOB_CYCLES}"}
+
+    def test_over_limit_stream_gets_error_reply(self):
+        job = fir_job()
+        job.streams = {0: [0] * (MAX_JOB_CHANNEL_WORDS + 1)}
+
+        async def go(farm, server):
+            return await request("127.0.0.1", server.port,
+                                 {"op": "submit", "job": job_to_wire(job)})
+
+        reply = serve(go)
+        assert reply == {"ok": False,
+                         "error": f"ConfigurationError: farm job stream 0 "
+                                  f"of {MAX_JOB_CHANNEL_WORDS + 1} words "
+                                  f"exceeds {MAX_JOB_CHANNEL_WORDS}"}
+
+    def test_over_limit_fifo_load_gets_error_reply(self):
+        # Two loads into one FIFO: the cap is per channel, not per load.
+        half = MAX_JOB_CHANNEL_WORDS // 2
+        job = fir_job()
+        job.fifos = [(1, 0, 1, [0] * half), (1, 0, 1, [0] * (half + 1))]
+
+        async def go(farm, server):
+            return await request("127.0.0.1", server.port,
+                                 {"op": "submit", "job": job_to_wire(job)})
+
+        reply = serve(go)
+        assert reply == {"ok": False,
+                         "error": f"ConfigurationError: farm job FIFO "
+                                  f"1.0/1 load of "
+                                  f"{MAX_JOB_CHANNEL_WORDS + 1} words "
+                                  f"exceeds {MAX_JOB_CHANNEL_WORDS}"}
+
+    def test_over_limit_tap_samples_get_error_reply(self):
+        # Unlimited taps record every cycle of the budget.
+        job = fir_job()
+        job.cycles = MAX_JOB_CYCLES
+        taps = MAX_JOB_TAP_SAMPLES // MAX_JOB_CYCLES + 1
+        job.taps = [(0, 0, None)] * taps
+
+        async def go(farm, server):
+            return await request("127.0.0.1", server.port,
+                                 {"op": "submit", "job": job_to_wire(job)})
+
+        reply = serve(go)
+        assert reply == {"ok": False,
+                         "error": f"ConfigurationError: farm job taps of "
+                                  f"{taps * MAX_JOB_CYCLES} samples exceed "
+                                  f"{MAX_JOB_TAP_SAMPLES}"}
 
     def test_over_limit_fabric_gets_error_reply_before_allocation(self):
         # The plane stays tiny: only the requested shape is over the

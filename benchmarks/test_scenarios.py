@@ -12,7 +12,11 @@ Two measurements, recorded in ``BENCH_scenarios.json`` for CI artifacts:
   plane-switching pipelines (synth voice, effects chain) across chunk
   sizes, with the plan-cache telemetry that proves steady-state churn
   costs zero plan compiles (2 compiles total, one per plane, no matter
-  how many switches).
+  how many switches);
+* **plane-switch gate** — the synth voice at chunk 32 (60 plane switches
+  per 960 samples) must run within :data:`TARGET_CHUNK32_VS_480` of its
+  per-sample time at chunk 480 (4 switches).  Both sides run in this
+  process, alternating, so host speed cancels out of the ratio.
 
 Run with ``pytest -s benchmarks/test_scenarios.py`` for the tables.
 """
@@ -20,6 +24,7 @@ Run with ``pytest -s benchmarks/test_scenarios.py`` for the tables.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -53,6 +58,15 @@ ENGINES = {
 TARGET_NCO_FASTPATH_SPEEDUP = 1.5
 
 _MEASURE_CYCLES = 2_000
+
+#: Ceiling on the synth voice's per-sample time at chunk 32 over chunk
+#: 480 (same 960 samples, so the ratio of job times): a plane switch
+#: must cost about as much as the few dozen cycles around it, not more.
+TARGET_CHUNK32_VS_480 = 2.0
+
+#: Alternating chunk-32/chunk-480 runs per side; the gate compares their
+#: medians.
+_CHURN_RUNS = 5
 
 
 def _host_zero(channel: int) -> int:
@@ -99,6 +113,35 @@ def _kernel_rings():
         "mixer4": compiled("mixer4"),
         "cmag": compiled("cmag"),
         "cordic4": compiled("cordic4"),
+    }
+
+
+def _chunk_ratio(envelope) -> dict:
+    """Median synth-voice job time at chunk 32 and at chunk 480."""
+    rings = {chunk: Ring(SYNTH_GEOMETRY) for chunk in (32, 480)}
+    seconds = {chunk: [] for chunk in rings}
+
+    def job(chunk: int) -> float:
+        ring = rings[chunk]
+        ring.reset()
+        start = time.perf_counter()
+        run_synth_voice(envelope, chunk=chunk, ring=ring)
+        return time.perf_counter() - start
+
+    for chunk in rings:      # planes built, plans compiled, kernels cached
+        job(chunk)
+    for index in range(_CHURN_RUNS):
+        order = (32, 480) if index % 2 == 0 else (480, 32)
+        for chunk in order:
+            seconds[chunk].append(job(chunk))
+    medians = {chunk: statistics.median(runs)
+               for chunk, runs in seconds.items()}
+    return {
+        "chunk32_ms": round(medians[32] * 1e3, 3),
+        "chunk480_ms": round(medians[480] * 1e3, 3),
+        "ratio": round(medians[32] / medians[480], 3),
+        "runs_per_side": _CHURN_RUNS,
+        "target": TARGET_CHUNK32_VS_480,
     }
 
 
@@ -156,6 +199,13 @@ def test_scenario_kernel_engine_sweep_and_pipeline_churn():
             },
         }
 
+    churn_gate = _chunk_ratio(envelope)
+    emit(f"synth voice chunk 32 vs 480: {churn_gate['ratio']:.2f}x per "
+         f"sample ({churn_gate['chunk32_ms']} vs "
+         f"{churn_gate['chunk480_ms']} ms, median of "
+         f"{_CHURN_RUNS} alternating runs; ceiling "
+         f"{TARGET_CHUNK32_VS_480}x)")
+
     emit(render_table(
         ["chunk", "pipeline", "samples/s", "switches", "plan hits",
          "compiles"],
@@ -174,5 +224,10 @@ def test_scenario_kernel_engine_sweep_and_pipeline_churn():
         "nco_fastpath_speedup_vs_interpreter": round(nco_speedup, 2),
         "target_nco_fastpath_speedup": TARGET_NCO_FASTPATH_SPEEDUP,
         "pipeline_churn": pipelines,
+        "synth_chunk32_vs_480": churn_gate,
     }, indent=2) + "\n")
     emit(f"wrote {BENCH_PATH.name}")
+    assert churn_gate["ratio"] <= TARGET_CHUNK32_VS_480, (
+        f"synth voice at chunk 32 took {churn_gate['ratio']:.2f}x the "
+        f"per-sample time of chunk 480 (ceiling "
+        f"{TARGET_CHUNK32_VS_480}x): plane switches got expensive")

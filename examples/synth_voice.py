@@ -10,8 +10,9 @@ two configuration planes mid-stream:
 * plane B — a feedback echo running on the ring's own FIFO closure
   (delay = ring depth, no extra memory).
 
-The host swaps planes every chunk with ``ConfigPlane.apply_plane``; the
-plan cache re-adopts each plane by configuration fingerprint, so after
+The host swaps planes every chunk with ``ConfigMemory.apply_plane``, one
+bulk write of a plane decoded once; the plan cache re-adopts each plane
+by its precomputed configuration fingerprint, so after
 the first A/B round the churn costs **zero** recompiles and zero
 interpreted cycles.  The wet output is bit-exact against the pure-NumPy
 golden model regardless of chunk size.

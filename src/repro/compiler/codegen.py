@@ -110,8 +110,16 @@ class CompiledProgram:
 
         *streams* is a single list (for channel 0) or a dict
         ``channel -> samples``.  Outputs are latency-aligned so they
-        compare directly against :meth:`DataflowGraph.evaluate`.
+        compare directly against :meth:`DataflowGraph.evaluate`.  On a
+        lane ring this is lane 0 (host streams broadcast, so every lane
+        carries the same answer).
         """
+        return self.run_lanes(streams, ring)[0]
+
+    def run_lanes(self, streams: Streams, ring: Optional[Ring] = None
+                  ) -> List[Dict[int, List[int]]]:
+        """Like :meth:`run`, with one output dict per lane of the ring
+        (a single dict for a scalar ring)."""
         if not isinstance(streams, dict):
             streams = {0: list(streams)}
         length = max((len(v) for v in streams.values()), default=0)
@@ -126,14 +134,14 @@ class CompiledProgram:
                 taps[graph_index] = system.data.add_tap(
                     p.level - 1, p.lane, skip=p.level - 1, limit=length)
         system.run(length + self.latency)
-        # Lane backends hand out BatchOutputTaps; lane 0 always carries
-        # the scalar answer (host streams broadcast across lanes).
-        return {
-            graph_index: [word.to_signed(v) for v in
-                          (tap.lane(0) if hasattr(tap, "lane")
-                           else tap.samples)]
-            for graph_index, tap in taps.items()
-        }
+        # Lane backends hand out BatchOutputTaps with one stream per lane.
+        return [
+            {graph_index: [word.to_signed(v) for v in
+                           (tap.lane(lane) if hasattr(tap, "lane")
+                            else tap.samples)]
+             for graph_index, tap in taps.items()}
+            for lane in range(system.ring.batch_size)
+        ]
 
     def to_assembly(self, plane: str = "compiled") -> str:
         """Export as `.ring` assembly accepted by :func:`repro.asm.assemble`."""

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from repro import word
-from repro.compiler.codegen import CompiledProgram, compile_graph
+from repro.compiler.codegen import compile_graph
 from repro.compiler.graph import CompileError, DataflowGraph, NodeKind
 from repro.compiler.library import GRAPH_LIBRARY, library_streams
 from repro.core.ring import Ring, RingGeometry
@@ -43,33 +43,6 @@ FUZZ_MAPPINGS = (
 def _fuzz_ring(engine: str, geometry: RingGeometry) -> Ring:
     return Ring(geometry, backend=engine,
                 batch_size=2 if engine == "batch" else 1)
-
-
-def _run_program(program: CompiledProgram, ring: Ring,
-                 streams: Dict[int, List[int]],
-                 length: int) -> List[Dict[int, List[int]]]:
-    """Execute *program* on *ring*; outputs per lane (signed samples)."""
-    system = program.build_system(ring)
-    for channel, samples in streams.items():
-        system.data.stream(
-            channel, [word.from_signed(int(v)) for v in samples])
-    taps = {}
-    for graph_index, phys_index in program.placement.outputs:
-        p = program.placement.phys[phys_index]
-        if graph_index not in taps:
-            taps[graph_index] = system.data.add_tap(
-                p.level - 1, p.lane, skip=p.level - 1, limit=length)
-    system.run(length + program.latency)
-    lanes = ring.batch_size if ring.backend == "batch" else 1
-    results = []
-    for lane in range(lanes):
-        results.append({
-            graph_index: [word.to_signed(v) for v in
-                          (tap.lane(lane) if ring.backend == "batch"
-                           else tap.samples)]
-            for graph_index, tap in taps.items()
-        })
-    return results
 
 
 class _Genome:
@@ -241,7 +214,7 @@ def fuzz_conformance(rounds: int = 16, seed: int = 2002,
             for engine in FUZZ_ENGINES:
                 ring = _fuzz_ring(engine, program.geometry)
                 try:
-                    lanes = _run_program(program, ring, streams, samples)
+                    lanes = program.run_lanes(streams, ring)
                 except SimulationError as exc:
                     mismatches.append(
                         f"round {round_index} {mode}/{lane_order} "

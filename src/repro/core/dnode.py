@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro import word
 from repro.core.alu import execute_op
@@ -44,6 +44,40 @@ class DnodeMode(enum.Enum):
 
     GLOBAL = "global"
     LOCAL = "local"
+
+
+# Member lookups through an Enum class are slow; fingerprints are
+# computed for every Dnode of every plane decoded.
+_GLOBAL = DnodeMode.GLOBAL
+
+
+def check_microword(microword: MicroWord) -> None:
+    """Validate a global-microword write."""
+    if not isinstance(microword, MicroWord):
+        raise ConfigurationError(
+            f"expected MicroWord, got {type(microword).__name__}"
+        )
+
+
+def check_mode(mode: DnodeMode) -> None:
+    """Validate an execution-mode write."""
+    if not isinstance(mode, DnodeMode):
+        raise ConfigurationError(f"expected DnodeMode, got {mode!r}")
+
+
+def dnode_fingerprint(mode: DnodeMode, global_word: MicroWord,
+                      slots, limit: int) -> tuple:
+    """A Dnode's configuration fingerprint: everything that selects
+    execution.
+
+    Covers exactly the configuration state a compiled plan depends on:
+    the mode bit plus either the global microword or the local
+    sequencer's LIMIT and *active* slots (writes to slots at or above
+    LIMIT cannot execute, so they do not perturb the fingerprint).
+    """
+    if mode is _GLOBAL:
+        return (0, global_word)
+    return (1, limit, tuple(slots[:limit]))
 
 
 @dataclass
@@ -129,23 +163,39 @@ class Dnode:
             self.on_config_change()
 
     def config_fingerprint(self) -> tuple:
-        """A stable, hashable digest of everything that selects execution.
-
-        Covers exactly the configuration state a compiled plan depends on:
-        the mode bit plus either the global microword or the local
-        sequencer's LIMIT and *active* slots (writes to slots at or above
-        LIMIT cannot execute, so they do not perturb the fingerprint).
-        Cached until the next configuration mutation.
-        """
+        """A stable, hashable digest of everything that selects execution
+        (:func:`dnode_fingerprint`), cached until the next configuration
+        mutation."""
         fp = self._config_fp
         if fp is None:
-            if self._mode is DnodeMode.GLOBAL:
-                fp = (0, self._global_word)
-            else:
-                limit = self.local._limit
-                fp = (1, limit, tuple(self.local._slots[:limit]))
-            self._config_fp = fp
+            local = self.local
+            fp = self._config_fp = dnode_fingerprint(
+                self._mode, self._global_word, local._slots, local._limit)
         return fp
+
+    def install(self, microword: Optional[MicroWord],
+                mode: Optional[DnodeMode],
+                slots: Optional[Tuple[MicroWord, ...]], limit: int,
+                fingerprint: Optional[tuple]) -> None:
+        """Bulk-write pre-validated configuration (one plane's entry).
+
+        ``None`` leaves that field as it is; *slots* fill the local
+        sequencer from slot 0 and *limit* goes to its LIMIT register, as
+        ``load_slot``/``set_limit`` would.  Fires no change hook — the
+        caller invalidates once for the whole plane — and presets the
+        cached fingerprint (``None`` drops it).
+        """
+        if microword is not None:
+            self._global_word = microword
+        if mode is not None:
+            self._mode = mode
+        if slots is not None:
+            local = self.local
+            local._slots[:len(slots)] = slots
+            local._limit = limit
+            if local._counter >= limit:
+                local._counter = 0
+        self._config_fp = fingerprint
 
     # ------------------------------------------------------------------
     # Configuration interface (used by the configuration layer/controller)
@@ -183,17 +233,13 @@ class Dnode:
 
     def configure(self, microword: MicroWord) -> None:
         """Write the global-mode microinstruction (configuration layer)."""
-        if not isinstance(microword, MicroWord):
-            raise ConfigurationError(
-                f"expected MicroWord, got {type(microword).__name__}"
-            )
+        check_microword(microword)
         self._global_word = microword
         self._config_changed()
 
     def set_mode(self, mode: DnodeMode) -> None:
         """Switch between global and local (stand-alone) execution."""
-        if not isinstance(mode, DnodeMode):
-            raise ConfigurationError(f"expected DnodeMode, got {mode!r}")
+        check_mode(mode)
         self._mode = mode
         self._config_changed()
 

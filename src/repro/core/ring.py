@@ -65,7 +65,7 @@ from time import perf_counter
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import word
-from repro.core.config_memory import ConfigMemory
+from repro.core.config_memory import ConfigMemory, Fingerprint
 from repro.core.dnode import Dnode, DnodeInputs, DnodeMode
 from repro.core.fastpath import compile_plan
 from repro.core.hostio import HostPort, HostWindow
@@ -74,7 +74,7 @@ from repro.core.lanes import LaneStore
 from repro.core.macropath import compile_macro
 from repro.core.nativepath import try_native
 from repro.core.plancache import DEFAULT_CAPACITY, Ineligible, PlanCache
-from repro.core.switch import _ROUTE_KIND_CODES, PortKind, PortSource, Switch
+from repro.core.switch import PortKind, PortSource, Switch, host_channels
 from repro.errors import ConfigurationError, SimulationError
 
 #: Shortest steady span that pays for macro/native code generation on a
@@ -87,32 +87,9 @@ FIRST_VISIT_CODEGEN_CYCLES = 128
 #: Fallback reason recorded when first-visit codegen is deferred.
 DEFERRED_CODEGEN = "codegen deferred: first visit, short window"
 
-#: Route kind code of a host port in switch fingerprints.
-_HOST_ROUTE = _ROUTE_KIND_CODES[PortKind.HOST]
-
 HostReader = Callable[[int], int]
 
 RingObserver = Callable[["Ring"], None]
-
-
-class Fingerprint(tuple):
-    """A configuration fingerprint that computes its hash once.
-
-    Equal to (and hashing like) the plain tuple; the plan-cache lookups
-    of one visit to a configuration then share a single walk of the
-    nested microword structure.
-    """
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = tuple.__hash__(self)
-            return self._hash
-
-    def __reduce__(self):
-        # Hashes are per process: never carry the cached one along.
-        return Fingerprint, (tuple(self),)
 
 
 class _CycleObserver:
@@ -280,6 +257,26 @@ class RingGeometry:
         """Total Dnode count (the paper's Ring-N number)."""
         return self.layers * self.width
 
+    def check_dnode(self, layer: int, position: int) -> None:
+        """Raise :class:`ConfigurationError` unless (*layer*, *position*)
+        addresses a Dnode."""
+        if not 0 <= layer < self.layers:
+            raise ConfigurationError(
+                f"layer must be 0..{self.layers - 1}, got {layer}"
+            )
+        if not 0 <= position < self.width:
+            raise ConfigurationError(
+                f"position must be 0..{self.width - 1}, got {position}"
+            )
+
+    def check_switch(self, index: int) -> None:
+        """Raise :class:`ConfigurationError` unless *index* addresses a
+        switch."""
+        if not 0 <= index < self.layers:
+            raise ConfigurationError(
+                f"switch index must be 0..{self.layers - 1}, got {index}"
+            )
+
     @classmethod
     def ring(cls, dnodes: int, width: int = 2,
              pipeline_depth: int = FEEDBACK_DEPTH) -> "RingGeometry":
@@ -373,6 +370,7 @@ class Ring:
         # Configuration-derived values, dropped on every mutation.
         self._fingerprint: Optional[tuple] = None
         self._host_channels: Optional[Tuple[int, ...]] = None
+        self._local_sequencers: Optional[tuple] = None
         self._dnodes: List[List[Dnode]] = [
             [Dnode(layer, pos) for pos in range(geometry.width)]
             for layer in range(geometry.layers)
@@ -473,24 +471,12 @@ class Ring:
 
     def dnode(self, layer: int, position: int) -> Dnode:
         """The Dnode at (*layer*, *position*)."""
-        if not 0 <= layer < self.geometry.layers:
-            raise ConfigurationError(
-                f"layer must be 0..{self.geometry.layers - 1}, got {layer}"
-            )
-        if not 0 <= position < self.geometry.width:
-            raise ConfigurationError(
-                f"position must be 0..{self.geometry.width - 1}, "
-                f"got {position}"
-            )
+        self.geometry.check_dnode(layer, position)
         return self._dnodes[layer][position]
 
     def switch(self, index: int) -> Switch:
         """The switch feeding layer *index* (fed by the previous layer)."""
-        if not 0 <= index < self.geometry.layers:
-            raise ConfigurationError(
-                f"switch index must be 0..{self.geometry.layers - 1}, "
-                f"got {index}"
-            )
+        self.geometry.check_switch(index)
         return self._switches[index]
 
     def all_dnodes(self) -> List[Dnode]:
@@ -644,32 +630,16 @@ class Ring:
         return None if best is None else best - cycle
 
     @contextmanager
-    def profile(self, warmup: int = 0, bus: int = 0,
-                host_in: Optional[HostReader] = None):
+    def profile(self):
         """Context manager timing the engines while the block runs.
 
         Yields a :class:`RingProfile` that accumulates wall-clock seconds
         and cycle counts separately for the interpreter, the compiled fast
         path, and plan compilation.  Profiling adds one predicate per
         dispatch decision — nothing on the per-cycle fast path itself.
-
-        Args:
-            warmup: cycles to run *untimed* before the profile attaches.
-                First-touch costs (plan compilation, macro/native codegen,
-                any Numba jit) land in the warm-up chunk instead of the
-                measured region, so the profile reports steady-state
-                throughput.
-            bus: bus value driven during the warm-up cycles.
-            host_in: host resolver used during the warm-up cycles (the
-                profiled block supplies its own).
         """
         if self._profile is not None:
             raise SimulationError("ring is already being profiled")
-        if warmup < 0:
-            raise SimulationError(
-                f"profile warmup must be >= 0, got {warmup}")
-        if warmup:
-            self.run(warmup, bus=bus, host_in=host_in)
         profile = RingProfile()
         self._profile = profile
         try:
@@ -818,6 +788,8 @@ class Ring:
         self._native = None
         self._fingerprint = None
         self._host_channels = None
+        self._local_sequencers = None
+        self.config.resident = None
         self._looked_up = False
         self._config_dirty = True
 
@@ -930,8 +902,12 @@ class Ring:
         if kernel is not None and (type(kernel) is Ineligible
                                    or kernel.matches_phase()):
             return self._verdict(kernel)
-        key = (tier, tuple(dn.local._counter for layer in self._dnodes
-                           for dn in layer if dn.mode is DnodeMode.LOCAL))
+        sequencers = self._local_sequencers
+        if sequencers is None:
+            sequencers = self._local_sequencers = tuple(
+                dn.local for layer in self._dnodes for dn in layer
+                if dn._mode is DnodeMode.LOCAL)
+        key = (tier, tuple(local._counter for local in sequencers))
         kernel = plan.kernels.get(key)
         if kernel is None:
             if not codegen:
@@ -1049,12 +1025,8 @@ class Ring:
         cached until the next configuration mutation."""
         channels = self._host_channels
         if channels is None:
-            # Switch fingerprints list every non-zero route as
-            # (position, port, kind code, index, lane).
-            channels = self._host_channels = tuple(sorted({
-                index for routes in self.config_fingerprint()[1]
-                for _pos, _port, kind, index, _lane in routes
-                if kind == _HOST_ROUTE}))
+            channels = self._host_channels = host_channels(
+                self.config_fingerprint()[1])
         return channels
 
     def reset(self) -> None:

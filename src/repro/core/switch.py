@@ -101,6 +101,7 @@ _ROUTE_KIND_CODES = {
     PortKind.BUS: 4,
 }
 _ROUTE_KIND_FROM_CODE = {v: k for k, v in _ROUTE_KIND_CODES.items()}
+_HOST_ROUTE = _ROUTE_KIND_CODES[PortKind.HOST]
 
 
 def encode_route(source: PortSource) -> int:
@@ -137,6 +138,59 @@ def decode_route(raw: int) -> PortSource:
     return PortSource(kind, index, lane)
 
 
+def _check_port_address(width: int, position: int, port: int) -> None:
+    if not 0 <= position < width:
+        raise ConfigurationError(
+            f"downstream position must be 0..{width - 1}, got {position}"
+        )
+    if port not in (1, 2):
+        raise ConfigurationError(f"input port must be 1 or 2, got {port}")
+
+
+def check_route(width: int, position: int, port: int,
+                source: PortSource) -> None:
+    """Validate one route of a width-*width* switch (raises
+    :class:`~repro.errors.ConfigurationError`)."""
+    _check_port_address(width, position, port)
+    if not isinstance(source, PortSource):
+        raise ConfigurationError(
+            f"expected PortSource, got {type(source).__name__}"
+        )
+    if source.kind is PortKind.UP and source.index >= width:
+        raise ConfigurationError(
+            f"upstream position {source.index} out of range "
+            f"(width {width})"
+        )
+    if source.kind is PortKind.RP and source.lane > width:
+        raise ConfigurationError(
+            f"feedback lane {source.lane} out of range (width {width})"
+        )
+
+
+def routes_fingerprint(routes: Dict[Tuple[int, int], PortSource]) -> tuple:
+    """A routing table's fingerprint: every non-ZERO route as
+    ``(position, port, kind code, index, lane)``, sorted.
+
+    Explicit ZERO routes and absent entries read the same, so both are
+    excluded — restoring a configuration by either path yields the same
+    fingerprint.
+    """
+    codes, zero = _ROUTE_KIND_CODES, PortKind.ZERO
+    return tuple(sorted(
+        (pos, port, codes[src.kind], src.index, src.lane)
+        for (pos, port), src in routes.items() if src.kind is not zero
+    ))
+
+
+def host_channels(fingerprints) -> Tuple[int, ...]:
+    """The host channels read by routing tables with these
+    :func:`routes_fingerprint` values, sorted."""
+    return tuple(sorted({
+        index for routes in fingerprints
+        for _pos, _port, kind, index, _lane in routes
+        if kind == _HOST_ROUTE}))
+
+
 class SwitchConfig:
     """Routing table of one switch: (downstream position, port) -> source.
 
@@ -160,50 +214,42 @@ class SwitchConfig:
         self._fp: Optional[tuple] = None
 
     def fingerprint(self) -> tuple:
-        """A stable, hashable digest of the routing table.
-
-        Explicit ZERO routes and absent entries read the same, so both
-        are excluded — restoring a configuration by either path yields
-        the same fingerprint.  Cached until the next routing mutation.
-        """
+        """A stable, hashable digest of the routing table
+        (:func:`routes_fingerprint`), cached until the next routing
+        mutation."""
         fp = self._fp
         if fp is None:
-            fp = tuple(sorted(
-                (pos, port, _ROUTE_KIND_CODES[src.kind], src.index,
-                 src.lane)
-                for (pos, port), src in self._routes.items()
-                if src.kind is not PortKind.ZERO
-            ))
-            self._fp = fp
+            fp = self._fp = routes_fingerprint(self._routes)
         return fp
 
     def route(self, position: int, port: int, source: PortSource) -> None:
         """Connect input *port* (1 or 2) of downstream Dnode *position*."""
-        self._check_position(position)
-        self._check_port(port)
-        if not isinstance(source, PortSource):
-            raise ConfigurationError(
-                f"expected PortSource, got {type(source).__name__}"
-            )
-        if source.kind is PortKind.UP and source.index >= self.width:
-            raise ConfigurationError(
-                f"upstream position {source.index} out of range "
-                f"(width {self.width})"
-            )
-        if source.kind is PortKind.RP and source.lane > self.width:
-            raise ConfigurationError(
-                f"feedback lane {source.lane} out of range (width {self.width})"
-            )
+        check_route(self.width, position, port, source)
         self._routes[(position, port)] = source
         self.writes += 1
         self._fp = None
         if self.on_change is not None:
             self.on_change()
 
+    def install(self, routes: Dict[Tuple[int, int], PortSource],
+                full: bool, fingerprint: Optional[tuple]) -> None:
+        """Bulk-write pre-validated *routes* (one configuration plane).
+
+        Counts one write per route and fires no change hook: the caller
+        invalidates once for the whole plane.  A *full* table replaces
+        every route, and its precomputed *fingerprint* becomes the cached
+        one; otherwise the cache is dropped.
+        """
+        if full:
+            self._routes = dict(routes)
+        else:
+            self._routes.update(routes)
+        self.writes += len(routes)
+        self._fp = fingerprint
+
     def source_for(self, position: int, port: int) -> PortSource:
         """Current routing of input *port* of downstream Dnode *position*."""
-        self._check_position(position)
-        self._check_port(port)
+        _check_port_address(self.width, position, port)
         return self._routes.get((position, port), PortSource.zero())
 
     def clear(self) -> None:
@@ -226,18 +272,6 @@ class SwitchConfig:
         for p in range(width):
             cfg.route(p, 1, PortSource.up(p))
         return cfg
-
-    def _check_position(self, position: int) -> None:
-        if not 0 <= position < self.width:
-            raise ConfigurationError(
-                f"downstream position must be 0..{self.width - 1}, "
-                f"got {position}"
-            )
-
-    @staticmethod
-    def _check_port(port: int) -> None:
-        if port not in (1, 2):
-            raise ConfigurationError(f"input port must be 1 or 2, got {port}")
 
 
 class Switch:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import asyncio
 import random
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.analysis.metrics import Metric, MetricsSnapshot
 from repro.core.ring import Ring, RingGeometry
@@ -91,9 +91,6 @@ class RingFarm:
         ]
         self._random = random.Random(seed)
         self._affinity: Dict[tuple, int] = {}
-        # One scalar builder ring per fabric shape, used only to turn a
-        # job's plane into its configuration fingerprint on submit.
-        self._builders: Dict[Tuple[int, int], Ring] = {}
         self._queues: Optional[List[asyncio.Queue]] = None
         self._dispatchers: List[asyncio.Task] = []
         self._draining = False
@@ -160,16 +157,11 @@ class RingFarm:
     # -- routing -------------------------------------------------------
 
     def fingerprint_of(self, job: FarmJob) -> tuple:
-        """The configuration fingerprint *job*'s plane resolves to."""
-        key = (job.layers, job.width)
-        builder = self._builders.get(key)
-        if builder is None:
-            builder = Ring(RingGeometry(layers=job.layers,
-                                        width=job.width),
-                           plan_cache=0)
-            self._builders[key] = builder
-        builder.config.apply_plane(job.plane)
-        return (key, builder.config_fingerprint())
+        """The configuration fingerprint *job*'s plane resolves to,
+        taken over the blank configuration as the worker applies it."""
+        geometry = RingGeometry(layers=job.layers, width=job.width)
+        plane = job.plane.over_blank(geometry)
+        return ((job.layers, job.width), plane.decode(geometry).fingerprint)
 
     def _queue_load(self, index: int) -> int:
         return self._queues[index].qsize()

@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config_memory import ConfigPlane
 from repro.core.dnode import DnodeMode
-from repro.core.isa import decode as decode_word, encode as encode_word
-from repro.core.switch import decode_route, encode_route
+from repro.core.isa import (MicroWord, decode as decode_word,
+                            encode as encode_word)
+from repro.core.switch import PortSource, decode_route, encode_route
 from repro.errors import ConfigurationError
 
 #: ``(layer, position, sample_limit)`` — where to attach an output tap.
@@ -169,16 +171,35 @@ def plane_to_wire(plane: ConfigPlane) -> dict:
     }
 
 
+#: Distinct configuration words whose decode the wire codec keeps.  A
+#: plane repeats a few words many times (an 8x2 FIR plane: 144 words, 8
+#: distinct), and decoded words are immutable, so planes share them.
+_WORD_CACHE = 4096
+
+_cached_word = lru_cache(maxsize=_WORD_CACHE)(decode_word)
+_cached_route = lru_cache(maxsize=_WORD_CACHE)(decode_route)
+
+
+def _word(raw) -> MicroWord:
+    # Only a plain int may share a cache entry: True or 1.0 equal 1 but
+    # must still be decoded (and rejected) as themselves.
+    return _cached_word(raw) if type(raw) is int else decode_word(raw)
+
+
+def _route(raw) -> PortSource:
+    return _cached_route(raw) if type(raw) is int else decode_route(raw)
+
+
 def plane_from_wire(data: dict) -> ConfigPlane:
     return ConfigPlane(
-        microwords={(l, p): decode_word(raw)
+        microwords={(l, p): _word(raw)
                     for l, p, raw in data.get("microwords", [])},
         modes={(l, p): DnodeMode[name]
                for l, p, name in data.get("modes", [])},
         local_programs={
-            (l, p): (tuple(decode_word(raw) for raw in slots), limit)
+            (l, p): (tuple(_word(raw) for raw in slots), limit)
             for l, p, slots, limit in data.get("local", [])},
-        switch_routes={(sw, pos, port): decode_route(raw)
+        switch_routes={(sw, pos, port): _route(raw)
                        for sw, pos, port, raw in data.get("routes", [])},
     )
 

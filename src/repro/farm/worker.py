@@ -6,12 +6,12 @@ A :class:`JobExecutor` is the in-process core: it keeps one long-lived
 :class:`~repro.core.plancache.PlanCache` stays *warm across jobs* — the
 whole point of fingerprint-affinity routing.  Executing a job is a
 hardware context switch, not a rebuild: ``reset()`` the datapath, apply
-the job's configuration plane (complete, so nothing leaks from the
-previous tenant), re-adopt the cached compiled plan in one lookup, run.
-When the requested plane is already resident on the ring (back-to-back
-jobs of one fingerprint — the common case under affinity routing) even
-the plane write is skipped, which also keeps the adopted plan installed
-instead of invalidating and re-looking it up.
+the job's configuration plane over the blank configuration (so nothing
+leaks from the previous tenant), re-adopt the cached compiled plan in
+one lookup, run.  When the requested plane is already resident on the
+ring (back-to-back jobs of one plane — the common case under affinity
+routing) even the plane write is skipped, which also keeps the adopted
+plan installed instead of invalidating and re-looking it up.
 
 A :class:`FarmWorker` is the parent-side handle: it spawns the executor
 into a worker process over a Pipe (fork-preferred context, ready
@@ -29,7 +29,6 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional, Tuple
 
-from repro.core.config_memory import ConfigPlane
 from repro.core.ring import Ring, RingGeometry
 from repro.core.snapshot import state_digest
 from repro.errors import SimulationError
@@ -49,11 +48,6 @@ class JobExecutor:
         self.worker = worker
         self.jobs_run = 0
         self._rings: Dict[Tuple[int, int, bool], Ring] = {}
-        # The configuration plane currently resident on each ring.
-        # ConfigPlane is a frozen snapshot, so an equal plane means the
-        # fabric is already configured — the context switch (and the
-        # plan invalidation it implies) can be skipped entirely.
-        self._resident: Dict[Tuple[int, int, bool], ConfigPlane] = {}
 
     def _ring_for(self, job: FarmJob) -> Ring:
         key = (job.layers, job.width, job.strict_fifos)
@@ -77,14 +71,14 @@ class JobExecutor:
         part of the checkpoint, so they are not re-applied.
         """
         job.validate()
-        key = (job.layers, job.width, job.strict_fifos)
         ring = self._ring_for(job)
         hits_before = ring.plan_cache.hits
         compiles_before = ring.plan_compiles
         resident = False
-        # Context switch: wipe the previous tenant's datapath state and
-        # overwrite the *complete* configuration (capture_plane() planes
-        # cover every address, including all local slots and routes).
+        # Context switch: wipe the previous tenant's datapath state; the
+        # job's plane, taken over the blank configuration, then sets every
+        # address, so nothing of the previous tenant's configuration
+        # survives.
         ring.reset()
         system = RingSystem(ring)
         for layer, pos, limit in job.taps:
@@ -92,27 +86,18 @@ class JobExecutor:
         if resume is not None:
             # restore() re-applies the checkpointed plane and re-adopts
             # the cached plan; taps above give restore_state its targets.
-            # The checkpoint overwrote the fabric configuration, so the
-            # resident marker for this shape is stale.
-            self._resident.pop(key, None)
             system.restore_checkpoint(resume)
         else:
             # A plane write always drops the adopted compiled plan (a
-            # reconfiguration invalidates the fast path by contract), so
-            # re-applying an identical plane would cost both the ~1000
-            # config writes and a needless cache round-trip.  reset()
-            # preserves configuration, so when the resident plane equals
-            # the job's the fabric is already configured: skip both.
-            resident = self._resident.get(key) == job.plane
+            # reconfiguration invalidates the fast path by contract).
+            # reset() preserves configuration, so when the job's plane is
+            # the one already resident the fabric is configured: skip
+            # the write and keep the plan.  Content, not the fingerprint,
+            # decides: the state digest also covers configuration the
+            # fingerprint leaves out, such as inactive local slots.
+            resident = ring.config.resident == job.plane
             if not resident:
-                ring.config.apply_plane(job.plane)
-                # Shallow copy: inline executors share the caller's plane
-                # object, and a marker aliasing dicts the caller can still
-                # mutate would skip an apply the fabric actually needs.
-                self._resident[key] = ConfigPlane(
-                    dict(job.plane.microwords), dict(job.plane.modes),
-                    dict(job.plane.local_programs),
-                    dict(job.plane.switch_routes))
+                ring.config.apply_plane(job.plane.over_blank(ring.geometry))
             ring.adopt_cached_plan()
             for channel, values in sorted(job.streams.items()):
                 system.data.stream(channel, values)

@@ -19,10 +19,12 @@ Both lean on two architectural facts.  **State freezing:** a NOP never
 writes OUT, so the Dnodes of the parked plane (NCO phase accumulators,
 the echo's recirculating samples) hold their values bit-exactly while
 the other plane runs, and resume as if no cycles passed.  **Plan
-re-adoption:** re-applying a captured plane reproduces the same
-configuration fingerprint, so after the first A/B round the plan cache
-re-adopts each plane with zero interpreted cycles and zero recompiles
-(the PR 4 contract, asserted by the integration suite).
+re-adoption:** each pipeline builds its two planes once per geometry and
+parameters, and every switch re-applies the same immutable plane, whose
+decoded state and configuration fingerprint are computed once; so after
+the first A/B round the plan cache re-adopts each plane in one lookup,
+with zero interpreted cycles and zero recompiles (asserted by the
+integration suite).
 
 The chorus plane alone carries state in switch feedback pipelines, which
 *do* shift while the other plane runs — the driver re-streams a
@@ -36,7 +38,8 @@ whole-stream functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import word
 from repro.core.config_memory import ConfigPlane
@@ -174,6 +177,36 @@ def capture_plane(geometry: RingGeometry,
     return scratch.config.capture_plane()
 
 
+#: Distinct ``(geometry, parameters)`` plane pairs each pipeline keeps;
+#: planes are immutable, so every call with the same parameters shares
+#: one pair and its decoded state.
+_PLANE_CACHE = 32
+
+
+@lru_cache(maxsize=_PLANE_CACHE)
+def _synth_planes(geometry: RingGeometry, fcw_a: int, fcw_b: int,
+                  echo_gain: int) -> Tuple[ConfigPlane, ConfigPlane]:
+    """The synth voice's plane A (voices) and plane B (echo)."""
+    return (
+        capture_plane(geometry,
+                      lambda r: _configure_voice(r, fcw_a, fcw_b)),
+        capture_plane(geometry, lambda r: build_echo(
+            echo_gain, ring=r, lane=SYNTH_ECHO_LANE)),
+    )
+
+
+@lru_cache(maxsize=_PLANE_CACHE)
+def _effects_planes(geometry: RingGeometry, master_gain: int,
+                    echo_gain: int) -> Tuple[ConfigPlane, ConfigPlane]:
+    """The effects chain's plane C (chorus + VCA) and plane D (echo)."""
+    return (
+        capture_plane(geometry,
+                      lambda r: _configure_chorus_vca(r, master_gain)),
+        capture_plane(geometry, lambda r: build_echo(
+            echo_gain, ring=r, lane=EFFECTS_ECHO_LANE)),
+    )
+
+
 def _advance(system: RingSystem, cycles: int, per_cycle: bool) -> None:
     if per_cycle:
         for _ in range(cycles):
@@ -213,11 +246,8 @@ def run_synth_voice(envelope: Sequence[int],
             f"synth voice needs a {SYNTH_GEOMETRY.layers}x"
             f"{SYNTH_GEOMETRY.width} ring, got "
             f"{ring.geometry.layers}x{ring.geometry.width}")
-    voice_plane = capture_plane(
-        ring.geometry, lambda r: _configure_voice(r, fcw_a, fcw_b))
-    echo_plane = capture_plane(
-        ring.geometry,
-        lambda r: build_echo(echo_gain, ring=r, lane=SYNTH_ECHO_LANE))
+    voice_plane, echo_plane = _synth_planes(ring.geometry, fcw_a, fcw_b,
+                                            echo_gain)
     system = RingSystem(ring)
     dry_all: List[int] = []
     wet_all: List[int] = []
@@ -272,11 +302,8 @@ def run_effects_chain(signal: Sequence[int],
             f"effects chain needs a {EFFECTS_GEOMETRY.layers}x"
             f"{EFFECTS_GEOMETRY.width} ring, got "
             f"{ring.geometry.layers}x{ring.geometry.width}")
-    chorus_plane = capture_plane(
-        ring.geometry, lambda r: _configure_chorus_vca(r, master_gain))
-    echo_plane = capture_plane(
-        ring.geometry,
-        lambda r: build_echo(echo_gain, ring=r, lane=EFFECTS_ECHO_LANE))
+    chorus_plane, echo_plane = _effects_planes(ring.geometry, master_gain,
+                                               echo_gain)
     system = RingSystem(ring)
     samples = [int(v) for v in signal]
     stage_all: List[int] = []

@@ -5,7 +5,7 @@ run on every backend; each output is bit-compared against the golden
 evaluator.  The campaigns here are seeded, so they are deterministic.
 """
 
-from repro.compiler import fuzz
+from repro.compiler.codegen import CompiledProgram
 from repro.compiler.fuzz import (
     FUZZ_ENGINES,
     _fuzz_ring,
@@ -73,17 +73,17 @@ class TestCli:
         assert "all engines bit-identical" in out
 
     def test_mismatch_exits_one(self, capsys, monkeypatch):
-        run_program = fuzz._run_program
+        run_lanes = CompiledProgram.run_lanes
 
-        def corrupted(program, ring, streams, length):
-            lanes = run_program(program, ring, streams, length)
+        def corrupted(program, streams, ring=None):
+            lanes = run_lanes(program, streams, ring)
             if ring.backend == "interpreter":
                 for outputs in lanes:
                     for samples in outputs.values():
                         samples[0] += 1
             return lanes
 
-        monkeypatch.setattr(fuzz, "_run_program", corrupted)
+        monkeypatch.setattr(CompiledProgram, "run_lanes", corrupted)
         assert main(["fuzz", "--rounds", "1", "--seed", "2002"]) == 1
         captured = capsys.readouterr()
         assert "MISMATCHES" in captured.out

@@ -79,41 +79,8 @@ class TestCompilerIntegration:
         assert "3/4 Dnodes busy" in report  # mul + relay + add; 1 lane idle
 
 
-class TestProfileWarmup:
-    """Satellite: `Ring.profile(warmup=N)` runs N cycles before timing.
-
-    The warm-up chunk pays plan compilation / engine-adoption cost
-    outside the timed region, so the profile measures the plan-cache
-    hit path — pinned by profiling the same ring twice and asserting the
-    second session compiles nothing and runs fully on the fast path.
-    """
-
-    def test_warmup_cycles_excluded_from_profile(self):
-        ring = _half_busy_ring()
-        with ring.profile(warmup=10) as prof:
-            ring.run(6)
-        assert prof.total_cycles == 6
-        assert ring.cycles == 10 + 6 + 10  # _half_busy_ring ran 10
-
-    def test_warmup_measures_cache_hit_path(self):
-        ring = _half_busy_ring()
-        with ring.profile(warmup=8) as first:
-            ring.run(16)
-        with ring.profile(warmup=8) as second:
-            ring.run(16)
-        assert second.plan_compiles == 0
-        assert second.compile_seconds == 0.0
-        assert second.fastpath_fraction == 1.0
-        assert second.interpreted_cycles == 0
-        assert first.total_cycles == second.total_cycles == 16
-
-    def test_negative_warmup_rejected(self):
-        ring = _half_busy_ring()
-        with pytest.raises(SimulationError):
-            with ring.profile(warmup=-1):
-                pass
-
-    def test_default_warmup_is_zero(self):
+class TestProfile:
+    def test_profile_runs_no_cycles(self):
         ring = _half_busy_ring()
         cycles = ring.cycles
         with ring.profile():

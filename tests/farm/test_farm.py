@@ -21,6 +21,7 @@ import threading
 
 import pytest
 
+from repro.core.config_memory import ConfigPlane
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.ring import Ring, RingGeometry
 from repro.core.snapshot import state_digest
@@ -53,6 +54,13 @@ def fir_job(tenant: str = "alice", coeffs=(1, 2, 3, 4),
         streams={0: [v & 0xFFFF for v in SIGNAL]},
         taps=[(len(coeffs) - 1, 1, None)],
     )
+
+
+def empty_plane_job(tenant: str = "bob") -> FarmJob:
+    """A job on fir_job()'s fabric whose plane configures nothing."""
+    job = fir_job(tenant=tenant)
+    job.plane = ConfigPlane()
+    return job
 
 
 def strict_underflow_job(cycles: int = 6, preload: int = 2) -> FarmJob:
@@ -131,6 +139,16 @@ class TestFarmJob:
                               for f in job.fifos]
         assert back.strict_fifos and back.job_id == "j-17"
 
+    def test_wire_decode_cache_keeps_type_checks(self):
+        wire = job_to_wire(fir_job())
+        job_from_wire(json.loads(json.dumps(wire)))  # caches int words
+        for field, index in (("microwords", 2), ("routes", 3)):
+            bad = json.loads(json.dumps(wire))
+            entry = bad["plane"][field][0]
+            entry[index] = float(entry[index])
+            with pytest.raises(ConfigurationError):
+                job_from_wire(bad)
+
     def test_result_wire_is_json_safe(self):
         out = JobExecutor().execute(fir_job())
         wire = result_to_wire(out["result"])
@@ -197,6 +215,17 @@ class TestJobExecutor:
         assert not first.warm and not other.warm
         assert again.warm
         assert again.plan_compiles == 0 and again.plan_hits >= 1
+
+    def test_empty_plane_does_not_inherit_previous_tenant(self):
+        executor = JobExecutor()
+        fir = executor.execute(fir_job())["result"]
+        assert any(fir.taps[0])
+        empty = empty_plane_job()
+        want_taps, want_digest = direct_run(empty)
+        result = executor.execute(empty)["result"]
+        assert result.taps == want_taps
+        assert not any(result.taps[0]), "read the previous tenant's FIR"
+        assert result.digest == want_digest
 
     def test_pause_resume_across_executors_bit_identical(self):
         job = fir_job(cycles=20)
@@ -313,6 +342,19 @@ class TestRingFarm:
         assert all(r.warm for r in results[1:])
         assert farm.plan_compiles == 1
         assert farm.warm_jobs == 2
+
+    def test_fingerprint_is_the_planes_own(self):
+        farm = inline_farm()
+        fresh = Ring(RingGeometry(layers=4, width=2))
+        farm.fingerprint_of(fir_job())
+        key, fingerprint = farm.fingerprint_of(empty_plane_job())
+        assert key == (4, 2)
+        assert fingerprint == fresh.config_fingerprint()
+        job = fir_job()
+        fresh.config.apply_plane(job.plane)
+        assert farm.fingerprint_of(job)[1] == fresh.config_fingerprint()
+        for worker in farm.workers:
+            worker.close()
 
     def test_random_routing_still_bit_identical(self):
         job = fir_job()

@@ -19,7 +19,7 @@ from repro.farm.job import (MAX_JOB_CHANNEL_WORDS, MAX_JOB_CYCLES,
                             job_to_wire)
 from repro.farm.server import LINE_LIMIT, FarmServer, request
 
-from tests.farm.test_farm import direct_run, fir_job
+from tests.farm.test_farm import direct_run, empty_plane_job, fir_job
 
 
 def serve(coro_factory):
@@ -116,6 +116,22 @@ class TestFarmServer:
                          "reason": "farm is draining",
                          "retry_after": reply["retry_after"]}
         assert reply["retry_after"] > 0
+
+    def test_empty_plane_after_fir_returns_zero_taps(self):
+        fir, empty = fir_job(tenant="alice"), empty_plane_job(tenant="bob")
+
+        async def go(farm, server):
+            replies = []
+            for job in (fir, empty):
+                replies.append(await request(
+                    "127.0.0.1", server.port,
+                    {"op": "submit", "job": job_to_wire(job)}))
+            return replies
+
+        first, second = serve(go)
+        assert first["ok"] and second["ok"]
+        assert any(first["result"]["taps"][0])
+        assert second["result"]["taps"] == [[0] * empty.cycles]
 
     def test_invalid_job_reports_error_not_crash(self):
         wire = job_to_wire(fir_job())
